@@ -3,7 +3,8 @@
 //! behind each cell of the table — plus benchmark generation itself,
 //! both on the legacy snapped grid and through the continuous-period
 //! margin interpolant (the interpolant evaluation is the new per-task
-//! cost the `continuous` profile adds).
+//! cost the `continuous` profile adds) and under the adversarial
+//! `margin-tight` profile (whose certificate-lie search dominates).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csa_bench::{fixed_benchmark, fixed_benchmarks, fixed_benchmarks_with};
@@ -45,6 +46,13 @@ fn bench_table1(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| black_box(generate_benchmark(&cfg, &mut rng)))
         });
+        if n <= 12 {
+            group.bench_with_input(BenchmarkId::new("generate_margin_tight", n), &n, |b, _| {
+                let cfg = BenchmarkConfig::with_model(n, PeriodModel::MarginTight);
+                let mut rng = StdRng::seed_from_u64(1);
+                b.iter(|| black_box(generate_benchmark(&cfg, &mut rng)))
+            });
+        }
     }
     group.finish();
 }

@@ -18,7 +18,7 @@
 //! (DESIGN.md §3).
 
 use crate::margins::{interpolated_tables, margin_tables, MarginEntry, MarginInterp, PlantMargins};
-use csa_core::{check_task, ControlTask, StabilityBound, TaskVerdict};
+use csa_core::{ControlTask, StabilityBound, StabilityChecker, TaskVerdict};
 use csa_rta::{uunifast, Task, TaskId, Ticks};
 use rand::Rng;
 
@@ -389,15 +389,17 @@ fn refine_margin_tight<R: Rng + ?Sized>(
         .enumerate()
         .map(|(i, d)| provisional_task(i, usable[d.plant].name, d))
         .collect();
-    let hp_of = |t: usize| -> Vec<usize> { (0..n).filter(|&z| z != t).collect() };
+    // Maximum interference for every task: all other tasks above it.
+    let hps: Vec<Vec<usize>> = (0..n)
+        .map(|t| (0..n).filter(|&z| z != t).collect())
+        .collect();
 
     // Pass 1: scan the natural draw for a certificate lie: any victim
     // and any removable subset of stable larger-slack tasks.
-    let verdicts: Vec<TaskVerdict> = (0..n)
-        .map(|x| check_task(&provisional, x, &hp_of(x)))
-        .collect();
+    let mut checker = StabilityChecker::uncached(&provisional);
+    let verdicts: Vec<TaskVerdict> = (0..n).map(|x| checker.check(x, &hps[x])).collect();
     for v in 0..n {
-        if let Some(below) = find_lie_subset(&provisional, &verdicts, v) {
+        if let Some(below) = find_lie_subset(&mut checker, &verdicts, v) {
             tighten_bystanders(draws, &verdicts, v, &below);
             return;
         }
@@ -433,7 +435,6 @@ fn refine_margin_tight<R: Rng + ?Sized>(
         })
         .collect();
     scan.insert(0, draws[victim].entry);
-    let hp_victim = hp_of(victim);
     let mut best: Option<(bool, f64, MarginEntry)> = None;
     for &ev in &scan {
         provisional[victim] = provisional_task(
@@ -444,19 +445,20 @@ fn refine_margin_tight<R: Rng + ?Sized>(
                 ..draws[victim]
             },
         );
-        let v = check_task(&provisional, victim, &hp_victim);
+        let mut checker = StabilityChecker::uncached(&provisional);
+        let v = checker.check(victim, &hps[victim]);
         if v.stable {
             let verdicts: Vec<TaskVerdict> = (0..n)
                 .map(|x| {
                     if x == victim {
                         v
                     } else {
-                        check_task(&provisional, x, &hp_of(x))
+                        checker.check(x, &hps[x])
                     }
                 })
                 .collect();
             for lv in 0..n {
-                if let Some(below) = find_lie_subset(&provisional, &verdicts, lv) {
+                if let Some(below) = find_lie_subset(&mut checker, &verdicts, lv) {
                     draws[victim].entry = ev;
                     tighten_bystanders(draws, &verdicts, lv, &below);
                     return;
@@ -486,11 +488,40 @@ fn refine_margin_tight<R: Rng + ?Sized>(
 /// in the criticality ordering, the largest anchoring the bottom), whose
 /// collective removal from `v`'s interference destabilizes `v` — the
 /// non-monotone jitter move of the paper's §IV anomaly algebra, in its
-/// general multi-removal form. Subsets are scanned in ascending
-/// bitmask order (single removals first), so the result is a pure
-/// function of the set.
-fn find_lie_subset(set: &[ControlTask], verdicts: &[TaskVerdict], v: usize) -> Option<Vec<usize>> {
-    let n = set.len();
+/// general multi-removal form. `verdicts` are the full-interference
+/// verdicts of `checker`'s set.
+///
+/// Before enumerating, the RTA-monotonicity bound (DESIGN.md §3.1)
+/// rules the lie out when `v` stays stable at latency `R_b` and jitter
+/// `R_w - c_b` of its full-interference bounds: removing higher-priority
+/// tasks can only lower `R_w` and keeps `R_b` within `[c_b, R_b]`, so no
+/// subset reaches a smaller slack. The answer is the exhaustive one
+/// ([`enumerate_lie_subsets`]) either way.
+fn find_lie_subset(
+    checker: &mut StabilityChecker<'_>,
+    verdicts: &[TaskVerdict],
+    v: usize,
+) -> Option<Vec<usize>> {
+    let rb = verdicts[v].bounds.filter(|_| verdicts[v].stable)?;
+    let victim = &checker.tasks()[v];
+    if victim
+        .bound()
+        .permits(rb.latency(), rb.wcrt - victim.task().c_best())
+    {
+        return None;
+    }
+    enumerate_lie_subsets(checker, verdicts, v)
+}
+
+/// The exhaustive certificate-lie search behind [`find_lie_subset`]:
+/// removal subsets are checked in ascending bitmask order (single
+/// removals first), so the result is a pure function of the set.
+fn enumerate_lie_subsets(
+    checker: &mut StabilityChecker<'_>,
+    verdicts: &[TaskVerdict],
+    v: usize,
+) -> Option<Vec<usize>> {
+    let n = verdicts.len();
     if !verdicts[v].stable {
         return None;
     }
@@ -501,16 +532,21 @@ fn find_lie_subset(set: &[ControlTask], verdicts: &[TaskVerdict], v: usize) -> O
         .collect();
     // Bounded enumeration: at experiment scales |cands| is tiny; the cap
     // keeps wide sets linear-ish (singles and pairs come first anyway).
-    let masks = (1u32 << cands.len().min(5)) - 1;
-    for mask in 1..=masks {
-        let below: Vec<usize> = cands
-            .iter()
-            .enumerate()
-            .filter(|&(ci, _)| mask & (1 << ci) != 0)
-            .map(|(_, &x)| x)
-            .collect();
-        let hp: Vec<usize> = (0..n).filter(|&x| x != v && !below.contains(&x)).collect();
-        if !check_task(set, v, &hp).stable {
+    let width = cands.len().min(5);
+    let mut below = Vec::with_capacity(width);
+    let mut hp = Vec::with_capacity(n);
+    for mask in 1..1u32 << width {
+        below.clear();
+        below.extend(
+            cands[..width]
+                .iter()
+                .enumerate()
+                .filter(|&(ci, _)| mask & (1 << ci) != 0)
+                .map(|(_, &x)| x),
+        );
+        hp.clear();
+        hp.extend((0..n).filter(|&x| x != v && !below.contains(&x)));
+        if !checker.check(v, &hp).stable {
             return Some(below);
         }
     }
@@ -587,6 +623,7 @@ fn round_c_worst_largest_remainder(utils: &[f64], periods: &[Ticks]) -> Vec<Tick
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::Strategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -805,6 +842,219 @@ mod tests {
             .collect();
         let expected = expected_grid_snapped_seed_2017();
         assert_eq!(got, expected, "legacy grid-snapped generator drifted");
+    }
+
+    /// One dyadic tick unit: `1/512 s`, so latencies, jitters and the
+    /// power-of-two jitter weights below multiply and subtract exactly in
+    /// `f64` (the idiom of `permits_boundary_exact` in csa-core).
+    const UNIT: u64 = 1_953_125;
+
+    /// Per-task draw: period in units, worst-case utilization in
+    /// per mille, best-case ratio in percent, `log2 a`, the delay-budget
+    /// mode, and a slack offset in units.
+    type DyadicParams = Vec<(u64, u64, u64, u32, u8, u64)>;
+
+    /// A planted certificate lie (tasks `(c_b, c_w, T)` = `(1, 1, 9)`,
+    /// `(6, 8, 56)`, `(47, 54, 696)` units): the third task is stable at
+    /// exactly zero slack (`a = 8`) under full interference, and removing
+    /// the first grows `8 R_w - 7 R_b` from 219 to 231 units. Random
+    /// sets almost never contain the geometry, so half the cases start
+    /// from this core.
+    const LIE_CORE: [(u64, u64, u64, u32, u8, u64); 3] = [
+        (9, 111, 100, 0, 2, 3),
+        (56, 143, 75, 0, 2, 3),
+        (696, 78, 88, 3, 2, 0),
+    ];
+
+    fn dyadic_params() -> impl Strategy<Value = DyadicParams> {
+        let task = (
+            8u64..=1024,
+            5u64..=150,
+            10u64..=100,
+            0u32..=3,
+            0u8..=3,
+            0u64..=6,
+        );
+        let tasks = proptest::collection::vec(task, 2..=12);
+        (0u8..=5, tasks).prop_map(|(plant, tasks)| match plant {
+            // Core plus up to two random tasks (which may break the lie).
+            0..=2 => LIE_CORE
+                .iter()
+                .copied()
+                .chain(tasks)
+                .take(3 + plant as usize)
+                .collect(),
+            _ => tasks,
+        })
+    }
+
+    fn full_interference_verdicts(checker: &mut StabilityChecker<'_>) -> Vec<TaskVerdict> {
+        let n = checker.len();
+        (0..n)
+            .map(|x| {
+                let hp: Vec<usize> = (0..n).filter(|&z| z != x).collect();
+                checker.check(x, &hp)
+            })
+            .collect()
+    }
+
+    /// Builds a dyadic set whose delay budgets sit on, just inside, or
+    /// randomly above the pruning bound's boundary `b = R_b + a (R_w - c_b)`
+    /// of each task's full-interference bounds.
+    fn dyadic_set(params: &DyadicParams) -> Vec<ControlTask> {
+        let secs = |units: u64| (units * UNIT) as f64 * 1e-9;
+        let build = |i: usize, a: f64, b: f64| {
+            let (period, util, ratio, ..) = params[i];
+            let cw = (period * util / 1000).max(1);
+            let cb = (cw * ratio / 100).max(1);
+            ControlTask::from_parts(i as u32, cb * UNIT, cw * UNIT, period * UNIT, a, b)
+                .expect("dyadic task is valid")
+        };
+        let timing: Vec<ControlTask> = (0..params.len()).map(|i| build(i, 1.0, 0.0)).collect();
+        let verdicts = full_interference_verdicts(&mut StabilityChecker::uncached(&timing));
+        (0..params.len())
+            .map(|i| {
+                let (_, _, _, log_a, mode, offset) = params[i];
+                let a = f64::from(1u32 << log_a);
+                let b = match verdicts[i].bounds {
+                    None => 1.0,
+                    Some(rb) => {
+                        let latency = rb.latency().as_secs_f64();
+                        let spread = (rb.wcrt - timing[i].task().c_best()).as_secs_f64();
+                        match mode {
+                            0 => latency + a * spread,
+                            1 => latency + a * spread - secs(1),
+                            _ => latency + a * rb.jitter().as_secs_f64() + secs(offset),
+                        }
+                    }
+                };
+                build(i, a, b)
+            })
+            .collect()
+    }
+
+    /// The verdicts with every task but `v` declared a stable candidate
+    /// of unbounded slack. The candidate filter only narrows which
+    /// removal subsets get enumerated, while the pruning bound covers
+    /// every subset, so the comparison stays sound — and this is the only
+    /// way to reach real lies: no remover stable under maximum
+    /// interference has ever been observed to cause one (EXPERIMENTS.md,
+    /// Table I).
+    fn every_task_a_candidate(verdicts: &[TaskVerdict], v: usize) -> Vec<TaskVerdict> {
+        let candidate = TaskVerdict {
+            bounds: None,
+            stable: true,
+            slack: f64::INFINITY,
+        };
+        (0..verdicts.len())
+            .map(|x| if x == v { verdicts[v] } else { candidate })
+            .collect()
+    }
+
+    /// What one comparison saw: lies found, enumerations the bound
+    /// skipped, and victims sitting exactly on the bound (slack 0.0).
+    #[derive(Default)]
+    struct OracleTally {
+        lies: usize,
+        pruned: usize,
+        on_boundary: usize,
+    }
+
+    /// Asserts the pruned search answers exactly like the exhaustive
+    /// oracle for every victim of `set`, under the honest verdicts and
+    /// with every task a candidate.
+    fn assert_pruned_matches_oracle(set: &[ControlTask]) -> OracleTally {
+        let mut checker = StabilityChecker::uncached(set);
+        let honest = full_interference_verdicts(&mut checker);
+        let mut tally = OracleTally::default();
+        for v in 0..set.len() {
+            if let Some(rb) = honest[v].bounds.filter(|_| honest[v].stable) {
+                let spread = rb.wcrt - set[v].task().c_best();
+                let boundary = set[v].bound().slack(rb.latency(), spread) == 0.0;
+                tally.on_boundary += usize::from(boundary);
+            }
+            for verdicts in [honest.clone(), every_task_a_candidate(&honest, v)] {
+                let start = checker.logical_checks();
+                let pruned = find_lie_subset(&mut checker, &verdicts, v);
+                let mid = checker.logical_checks();
+                let oracle = enumerate_lie_subsets(&mut checker, &verdicts, v);
+                assert_eq!(pruned, oracle, "victim {v} of {set:?}");
+                tally.lies += usize::from(oracle.is_some());
+                tally.pruned += usize::from(mid == start && checker.logical_checks() > mid);
+            }
+        }
+        tally
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pruned_lie_search_matches_exhaustive_oracle(params in dyadic_params()) {
+            assert_pruned_matches_oracle(&dyadic_set(&params));
+        }
+    }
+
+    #[test]
+    fn pruned_search_finds_the_planted_lie() {
+        let set = dyadic_set(&LIE_CORE.to_vec());
+        let mut checker = StabilityChecker::uncached(&set);
+        let verdicts = full_interference_verdicts(&mut checker);
+        assert_eq!(verdicts[2].slack, 0.0, "{verdicts:?}");
+        // The remover overruns its own deadline under maximum
+        // interference, so only the relaxed candidate set reaches it.
+        assert!(!verdicts[0].stable);
+        assert_eq!(find_lie_subset(&mut checker, &verdicts, 2), None);
+        let relaxed = every_task_a_candidate(&verdicts, 2);
+        assert_eq!(find_lie_subset(&mut checker, &relaxed, 2), Some(vec![0]));
+    }
+
+    #[test]
+    fn lie_oracle_comparison_is_not_vacuous() {
+        // The property above must see real lies, skipped enumerations,
+        // and victims exactly on the bound.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut total = OracleTally::default();
+        for _ in 0..200 {
+            let params = dyadic_params().generate(&mut rng).expect("vec strategy");
+            let tally = assert_pruned_matches_oracle(&dyadic_set(&params));
+            total.lies += tally.lies;
+            total.pruned += tally.pruned;
+            total.on_boundary += tally.on_boundary;
+        }
+        assert!(total.lies > 0, "no certificate lie in 200 sets");
+        assert!(total.pruned > 0, "the bound never skipped an enumeration");
+        assert!(total.on_boundary > 0, "no victim on the pruning boundary");
+    }
+
+    /// FNV-1a digest of every `MarginTight` task set for
+    /// `n ∈ {4, 8, 12, 16}` × 200 instance seeds (label, execution times,
+    /// period, `(a, b)` bit patterns), captured from the generator before
+    /// the certificate-lie search was pruned. The task sets feed the
+    /// monitor digests, the witness corpus and the service-vs-batch
+    /// differential, so the pruning must not move a single bit.
+    const MARGIN_TIGHT_DIGEST: u64 = 0xbc81_60ea_6f26_44a4;
+
+    #[test]
+    fn margin_tight_is_bit_frozen() {
+        let mut h = crate::margin_cache::Fnv64::new();
+        for n in [4usize, 8, 12, 16] {
+            let cfg = BenchmarkConfig::with_model(n, PeriodModel::MarginTight);
+            for index in 0..200 {
+                let mut rng = StdRng::seed_from_u64(crate::instance_seed(2017, n, index));
+                for t in generate_benchmark(&cfg, &mut rng) {
+                    h.write_bytes(t.label().as_bytes());
+                    h.write_u64(t.task().c_best().get());
+                    h.write_u64(t.task().c_worst().get());
+                    h.write_u64(t.task().period().get());
+                    h.write_f64(t.bound().a());
+                    h.write_f64(t.bound().b());
+                }
+            }
+        }
+        assert_eq!(
+            h.0, MARGIN_TIGHT_DIGEST,
+            "margin-tight task sets drifted: {:#018x}",
+            h.0
+        );
     }
 
     /// Captured from the shipped PR 2 generator (see

@@ -29,8 +29,8 @@
 
 use csa_experiments::{
     find_unknown_instances, parse_witness_corpus, profile_flag, quick_flag, run_crossval,
-    task_counts_flag, threads_flag, write_csv, CrossvalConfig, CrossvalInstance, CrossvalRow,
-    PeriodModel,
+    task_counts_flag, threads_flag, warm_cached_tables, write_csv, CrossvalConfig,
+    CrossvalInstance, CrossvalRow, PeriodModel,
 };
 
 /// The committed witness corpus (pinned by the `witness_replay` suite).
@@ -108,7 +108,10 @@ fn main() -> std::io::Result<()> {
 
     // Portfolio-unknown sweep: instances a budgeted anytime search left
     // undecided — exactly the ones with no analysis verdict to lean on.
+    // Only the scan draws benchmarks; witness-only runs never touch the
+    // margin tables, so they skip the artifact entirely.
     if unknown_scan > 0 {
+        warm_cached_tables(threads);
         for n in task_counts_flag().unwrap_or_else(|| vec![16]) {
             let unknown = find_unknown_instances(profile, n, unknown_scan, seed, budget, threads);
             eprintln!(

@@ -84,25 +84,25 @@ impl fmt::Display for StaleReason {
 
 /// Streaming FNV-1a 64-bit hasher (deterministic across platforms and
 /// processes, unlike `std`'s `DefaultHasher`).
-struct Fnv64(u64);
+pub(crate) struct Fnv64(pub(crate) u64);
 
 impl Fnv64 {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv64(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    fn write_f64(&mut self, v: f64) {
+    pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 

@@ -3,13 +3,14 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default output directory for experiment artifacts (CSV files),
 /// relative to the working directory.
 pub const RESULTS_DIR: &str = "results";
 
 /// Atomically replaces the file at `path` with `content`: the bytes are
-/// written to a `.tmp` sibling in the same directory, fsynced, and
+/// written to a uniquely named `.tmp` sibling in the same directory, fsynced, and
 /// renamed over the target. A crash at any instant leaves either the
 /// previous complete file or the new complete file — never a torn one
 /// that parses as a truncated-but-plausible result. Every artifact
@@ -20,24 +21,36 @@ pub const RESULTS_DIR: &str = "results";
 ///
 /// Propagates I/O failures (including creating parent directories).
 pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     if let Some(dir) = dir {
         fs::create_dir_all(dir)?;
     }
     // The tmp file must live in the target's directory: rename(2) is
-    // only atomic within one filesystem.
+    // only atomic within one filesystem. Its name is unique per writer
+    // (pid plus a process-local sequence number), so concurrent writers
+    // of one target — threads, or processes sharing an artifact — never
+    // truncate each other's bytes; the last rename wins, whole.
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = PathBuf::from(tmp);
-    {
+    let written = (|| -> std::io::Result<()> {
         // csa-lint: allow(A001) this IS the atomic tmp+fsync+rename implementation
         let mut f = fs::File::create(&tmp)?;
         f.write_all(content.as_bytes())?;
         // Flush to stable storage before the rename publishes the file:
         // otherwise a power loss could rename an empty inode into place.
         f.sync_all()?;
+        fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path)
+    written
 }
 
 /// Writes a CSV file under [`RESULTS_DIR`], creating the directory if
@@ -510,17 +523,63 @@ mod tests {
         }
     }
 
+    /// Names of the files left in `dir` other than `keep`.
+    fn leftovers(dir: &Path, keep: &str) -> Vec<std::ffi::OsString> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name != keep)
+            .collect()
+    }
+
     #[test]
     fn atomic_write_replaces_and_leaves_no_tmp() {
-        let path = Path::new(RESULTS_DIR).join("test_write_atomic.txt");
+        let dir = Path::new(RESULTS_DIR).join("test_write_atomic");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("out.txt");
         write_atomic(&path, "first\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "first\n");
         write_atomic(&path, "second\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!Path::new(&tmp).exists(), "tmp file must not survive");
-        fs::remove_file(path).unwrap();
+        assert!(
+            leftovers(&dir, "out.txt").is_empty(),
+            "tmp file must not survive"
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_atomic_writers_never_collide() {
+        // Writers sharing one target (e.g. two cold processes saving the
+        // margin artifact) must neither fail nor tear the file.
+        let dir = Path::new(RESULTS_DIR).join("test_write_atomic_concurrent");
+        let _ = fs::remove_dir_all(&dir);
+        let path = dir.join("shared.txt");
+        let contents: Vec<String> = (0..8)
+            .map(|k| format!("writer {k}\n").repeat(4096))
+            .collect();
+        let start = std::sync::Barrier::new(contents.len());
+        std::thread::scope(|s| {
+            for content in &contents {
+                let (path, start) = (&path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..4 {
+                        write_atomic(path, content).unwrap();
+                    }
+                });
+            }
+        });
+        let got = fs::read_to_string(&path).unwrap();
+        assert!(
+            contents.contains(&got),
+            "final file is not one writer's content"
+        );
+        assert_eq!(
+            leftovers(&dir, "shared.txt"),
+            Vec::<std::ffi::OsString>::new()
+        );
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and optionally persists a crash-safe `csamon1` snapshot after every
 //! batch. On a clean EOF it flushes the last partial batch, writes the
 //! accumulated event log to `results/monitor_events.jsonl`, and prints
-//! a summary to stderr.
+//! a summary to stderr. A malformed line exits 2, after answering the
+//! valid requests already buffered in the window.
 //!
 //! ```text
 //! monitor [--batch N] [--threads N] [--search MODE] [--budget N]
@@ -19,12 +20,12 @@
 //! the response sequence (and the final snapshot) byte-identically.
 
 use std::io::BufRead;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use csa_experiments::{budget_flag, search_flag, threads_flag, write_atomic, SearchConfig};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
 use csa_monitor::snapshot::{self, SnapshotStale};
-use csa_monitor::{MonitorConfig, MonitorEngine};
+use csa_monitor::{MonitorConfig, MonitorEngine, Response};
 
 fn flag_u64(name: &str, default: u64) -> u64 {
     let mut args = std::env::args();
@@ -69,6 +70,38 @@ fn flag_present(name: &str) -> bool {
     std::env::args().any(|arg| arg == name)
 }
 
+/// Prints one response line per response plus one line per fired
+/// event, appending the event lines to `log`.
+fn emit(responses: &[Response], log: &mut Vec<String>) {
+    for response in responses {
+        println!("{}", response_line(response));
+        for event in &response.events {
+            let line = event_line(event);
+            println!("{line}");
+            log.push(line);
+        }
+    }
+}
+
+/// Persists the engine snapshot when `--snapshot-dir` is set; a failed
+/// write exits 1.
+fn save_snapshot(engine: &MonitorEngine, dir: Option<&Path>) {
+    if let Some(dir) = dir {
+        if let Err(e) = snapshot::save(engine, dir) {
+            eprintln!("monitor: snapshot write failed: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Answers the partial window still buffered in the engine, then
+/// persists the snapshot.
+fn flush_window(engine: &mut MonitorEngine, snapshot_dir: Option<&Path>, log: &mut Vec<String>) {
+    let responses = engine.flush();
+    emit(&responses, log);
+    save_snapshot(engine, snapshot_dir);
+}
+
 fn main() {
     let defaults = MonitorConfig::default();
     let config = MonitorConfig {
@@ -110,16 +143,6 @@ fn main() {
     // skip what the snapshot already covers.
     let mut skip = engine.processed();
     let mut event_log: Vec<String> = Vec::new();
-    let emit = |responses: &[csa_monitor::Response], log: &mut Vec<String>| {
-        for response in responses {
-            println!("{}", response_line(response));
-            for event in &response.events {
-                let line = event_line(event);
-                println!("{line}");
-                log.push(line);
-            }
-        }
-    };
 
     let stdin = std::io::stdin();
     for (lineno, line) in stdin.lock().lines().enumerate() {
@@ -137,6 +160,9 @@ fn main() {
             Ok(request) => request,
             Err(why) => {
                 eprintln!("monitor: malformed request on line {}: {why}", lineno + 1);
+                // Answer the valid requests already buffered in the
+                // window before giving up on the stream.
+                flush_window(&mut engine, snapshot_dir.as_deref(), &mut event_log);
                 std::process::exit(2);
             }
         };
@@ -147,23 +173,10 @@ fn main() {
         let responses = engine.submit(request);
         if !responses.is_empty() {
             emit(&responses, &mut event_log);
-            if let Some(dir) = &snapshot_dir {
-                if let Err(e) = snapshot::save(&engine, dir) {
-                    eprintln!("monitor: snapshot write failed: {e}");
-                    std::process::exit(1);
-                }
-            }
+            save_snapshot(&engine, snapshot_dir.as_deref());
         }
     }
-
-    let responses = engine.flush();
-    emit(&responses, &mut event_log);
-    if let Some(dir) = &snapshot_dir {
-        if let Err(e) = snapshot::save(&engine, dir) {
-            eprintln!("monitor: snapshot write failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    flush_window(&mut engine, snapshot_dir.as_deref(), &mut event_log);
 
     let log_path = PathBuf::from(csa_experiments::RESULTS_DIR).join("monitor_events.jsonl");
     let mut log_text = event_log.join("\n");

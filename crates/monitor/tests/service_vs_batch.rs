@@ -137,3 +137,61 @@ fn replaying_generated_coordinates_matches_inline_replay() {
         assert_eq!(g.anomalies, i.anomalies);
     }
 }
+
+#[test]
+fn malformed_line_answers_the_buffered_window_before_exiting() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    // Five valid requests sit in an 8-request window when the garbage
+    // line arrives: all five are answered, then the stream is rejected.
+    let mut stdin = String::new();
+    for (i, witness) in corpus().iter().take(5).enumerate() {
+        stdin.push_str(&csa_monitor::jsonl::request_line(&Request {
+            id: i as u64 + 1,
+            payload: Payload::Inline {
+                tasks: witness.tasks.clone(),
+            },
+        }));
+        stdin.push('\n');
+    }
+    stdin.push_str("this is not a request\n");
+    let dir = std::env::temp_dir().join(format!("csa-monitor-malformed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_monitor"))
+        .args(["--batch", "8"])
+        .current_dir(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn monitor");
+    child
+        .stdin
+        .take()
+        .expect("stdin handle")
+        .write_all(stdin.as_bytes())
+        .expect("write stream");
+    let out = child.wait_with_output().expect("monitor exit");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("malformed request on line 6"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("\"verdict\":"))
+        .map(|l| l.split(',').next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        ids,
+        [
+            "{\"id\":1",
+            "{\"id\":2",
+            "{\"id\":3",
+            "{\"id\":4",
+            "{\"id\":5"
+        ],
+        "stdout:\n{stdout}"
+    );
+}
