@@ -1035,7 +1035,7 @@ mod tests {
 
     #[test]
     fn margin_tight_is_bit_frozen() {
-        let mut h = crate::margin_cache::Fnv64::new();
+        let mut h = crate::artifact::Fnv64::default();
         for n in [4usize, 8, 12, 16] {
             let cfg = BenchmarkConfig::with_model(n, PeriodModel::MarginTight);
             for index in 0..200 {
@@ -1051,9 +1051,10 @@ mod tests {
             }
         }
         assert_eq!(
-            h.0, MARGIN_TIGHT_DIGEST,
+            h.finish(),
+            MARGIN_TIGHT_DIGEST,
             "margin-tight task sets drifted: {:#018x}",
-            h.0
+            h.finish()
         );
     }
 

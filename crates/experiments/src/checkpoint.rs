@@ -14,12 +14,12 @@
 //! orchestrator from everything the shard results are a function of:
 //! sweep name, base seed, instance counts, column layout, shard size,
 //! reservoir capacity, instance timeout, the margin-kernel revision and
-//! plant-pool fingerprint (reusing the staleness-guard discipline of
-//! [`crate::margin_cache`]), and the sweep-specific configuration
-//! (profile, search mode, budget). A resume validates the header field
-//! by field; any mismatch is reported as a named [`CheckpointStale`]
-//! reason and the sweep recomputes from scratch with a warning — a
-//! stale or corrupt journal is **never** silently merged.
+//! plant-pool fingerprint, and the sweep-specific configuration
+//! (profile, search mode, budget). A resume validates it with the
+//! shared artifact codec ([`crate::artifact`], DESIGN.md §15); any
+//! mismatch is reported as a [`Stale`] naming the field and the sweep
+//! recomputes from scratch with a warning — a stale or corrupt journal
+//! is **never** silently merged.
 //!
 //! Record grammar (after the header; blank lines and `#` comments are
 //! skipped):
@@ -31,6 +31,7 @@
 //! q|<index>|<rng seed as 16-hex-digit>|timeout|<elapsed ms>
 //! ```
 
+use crate::artifact::{hex_u64, read_artifact, LineCursor, Stale};
 use crate::report::{write_atomic, RESULTS_DIR};
 use crate::witness::Witness;
 use std::fmt;
@@ -41,32 +42,6 @@ pub const CHECKPOINT_TAG: &str = "csacp1";
 
 /// File-name extension of journals inside the checkpoint directory.
 const JOURNAL_EXT: &str = "csacp";
-
-/// Why a checkpoint journal cannot back the current sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointStale {
-    /// No journal exists at the path (first run; not an error).
-    Missing,
-    /// A named fingerprint-header field does not match the sweep about
-    /// to run (carries the field's `key=` name, or the raw field text
-    /// for the version tag).
-    Mismatch(String),
-    /// The file exists but cannot be parsed (corruption or an I/O error
-    /// other than absence); carries a diagnostic.
-    Malformed(String),
-}
-
-impl fmt::Display for CheckpointStale {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointStale::Missing => write!(f, "no checkpoint journal"),
-            CheckpointStale::Mismatch(field) => {
-                write!(f, "fingerprint mismatch in header field {field:?}")
-            }
-            CheckpointStale::Malformed(m) => write!(f, "malformed journal: {m}"),
-        }
-    }
-}
 
 /// Why an instance was quarantined instead of aggregated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,17 +140,18 @@ impl ShardRecord {
                 QuarantineReason::Panic(msg) => {
                     let _ = writeln!(
                         out,
-                        "q|{}|{:016x}|panic|{}",
+                        "q|{}|{}|panic|{}",
                         q.index,
-                        q.rng_seed,
+                        hex_u64(q.rng_seed),
                         sanitize_message(msg)
                     );
                 }
                 QuarantineReason::Timeout { elapsed_ms } => {
                     let _ = writeln!(
                         out,
-                        "q|{}|{:016x}|timeout|{elapsed_ms}",
-                        q.index, q.rng_seed
+                        "q|{}|{}|timeout|{elapsed_ms}",
+                        q.index,
+                        hex_u64(q.rng_seed)
                     );
                 }
             }
@@ -212,150 +188,78 @@ pub(crate) fn save_journal(
     write_atomic(path, &out)
 }
 
-/// Compares a journal header with the expected one, naming the first
-/// differing `key=value` field.
-fn check_journal_header(line: &str, expected: &str) -> Result<(), CheckpointStale> {
-    if line == expected {
-        return Ok(());
-    }
-    let got: Vec<&str> = line.split('|').collect();
-    let want: Vec<&str> = expected.split('|').collect();
-    if got.first() != want.first() {
-        return Err(CheckpointStale::Mismatch(
-            got.first().unwrap_or(&"").to_string(),
-        ));
-    }
-    for (g, w) in got.iter().zip(&want) {
-        if g != w {
-            let field = w.split('=').next().unwrap_or(w);
-            return Err(CheckpointStale::Mismatch(format!("{field}=")));
-        }
-    }
-    // Same prefix but different lengths: a field was added or dropped.
-    Err(CheckpointStale::Malformed(format!(
-        "header has {} fields, expected {}",
-        got.len(),
-        want.len()
-    )))
-}
-
-fn parse_usize(s: &str, line: usize) -> Result<usize, CheckpointStale> {
-    s.parse()
-        .map_err(|e| CheckpointStale::Malformed(format!("line {line}: bad integer {s:?}: {e}")))
-}
-
 /// Loads a checkpoint journal and validates it against the expected
 /// fingerprint header and column count.
 ///
 /// # Errors
 ///
-/// [`CheckpointStale`] when the file is absent, fingerprints differ, or
-/// the body is corrupt. Callers must recompute every shard in every
-/// error case (warn-and-recompute; never merge a stale journal).
+/// [`Stale`] when the file is absent, fingerprints differ, or the body
+/// is corrupt. Callers must recompute every shard in every error case
+/// (warn-and-recompute; never merge a stale journal).
 pub(crate) fn load_journal(
     path: &Path,
     expected_header: &str,
     columns: usize,
-) -> Result<Vec<ShardRecord>, CheckpointStale> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CheckpointStale::Missing),
-        Err(e) => {
-            return Err(CheckpointStale::Malformed(format!(
-                "read {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim_end()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| CheckpointStale::Malformed("empty journal".to_string()))?;
-    check_journal_header(header, expected_header)?;
+) -> Result<Vec<ShardRecord>, Stale> {
+    let text = read_artifact(path)?;
+    let mut cur = LineCursor::new(&text);
+    cur.header(expected_header)?;
 
     let mut records = Vec::new();
-    let mut lines = lines.peekable();
-    while let Some((ln, line)) = lines.next() {
-        let fields: Vec<&str> = line.split('|').collect();
-        let ["s", n, start, len, counts, nwit, nquar] = fields.as_slice() else {
-            return Err(CheckpointStale::Malformed(format!(
-                "line {ln}: expected `s` shard record, got {line:?}"
-            )));
-        };
-        let counts: Vec<u64> = counts
+    while let Some(line) = cur.next_line() {
+        let f = line.record("s", 6)?;
+        let counts: Vec<u64> = f[3]
             .split(',')
-            .map(|c| {
-                c.parse::<u64>().map_err(|e| {
-                    CheckpointStale::Malformed(format!("line {ln}: bad counter {c:?}: {e}"))
-                })
-            })
+            .map(|c| line.int(c, "counter"))
             .collect::<Result<_, _>>()?;
         if counts.len() != columns {
-            return Err(CheckpointStale::Malformed(format!(
-                "line {ln}: {} counters, sweep has {columns} columns",
+            return Err(line.malformed(format_args!(
+                "{} counters, sweep has {columns} columns",
                 counts.len()
             )));
         }
         let mut record = ShardRecord {
-            n: parse_usize(n, ln)?,
-            start: parse_usize(start, ln)?,
-            len: parse_usize(len, ln)?,
+            n: line.int(f[0], "n")?,
+            start: line.int(f[1], "start")?,
+            len: line.int(f[2], "len")?,
             counts,
             witnesses: Vec::new(),
             quarantined: Vec::new(),
         };
-        for _ in 0..parse_usize(nwit, ln)? {
-            let (ln, line) = lines.next().ok_or_else(|| {
-                CheckpointStale::Malformed("unexpected end of file, expected witness".to_string())
-            })?;
-            let Some(rest) = line.strip_prefix("w|") else {
-                return Err(CheckpointStale::Malformed(format!(
-                    "line {ln}: expected `w` witness record, got {line:?}"
+        for _ in 0..line.int::<usize>(f[4], "witness count")? {
+            let line = cur.next("witness")?;
+            let Some(rest) = line.text.strip_prefix("w|") else {
+                return Err(line.malformed(format_args!(
+                    "expected `w` witness record, got {:?}",
+                    line.text
                 )));
             };
-            record.witnesses.push(
-                Witness::parse(rest)
-                    .map_err(|e| CheckpointStale::Malformed(format!("line {ln}: {e}")))?,
-            );
+            record
+                .witnesses
+                .push(Witness::parse(rest).map_err(|e| line.malformed(e))?);
         }
-        for _ in 0..parse_usize(nquar, ln)? {
-            let (ln, line) = lines.next().ok_or_else(|| {
-                CheckpointStale::Malformed(
-                    "unexpected end of file, expected quarantine record".to_string(),
-                )
-            })?;
-            let fields: Vec<&str> = line.splitn(5, '|').collect();
+        for _ in 0..line.int::<usize>(f[5], "quarantine count")? {
+            let line = cur.next("quarantine record")?;
+            let fields: Vec<&str> = line.text.splitn(5, '|').collect();
             let ["q", index, seed, kind, detail] = fields.as_slice() else {
-                return Err(CheckpointStale::Malformed(format!(
-                    "line {ln}: expected `q` quarantine record, got {line:?}"
+                return Err(line.malformed(format_args!(
+                    "expected `q` quarantine record, got {:?}",
+                    line.text
                 )));
             };
-            let rng_seed = u64::from_str_radix(seed, 16).map_err(|e| {
-                CheckpointStale::Malformed(format!("line {ln}: bad rng seed {seed:?}: {e}"))
-            })?;
             let reason = match *kind {
                 "panic" => QuarantineReason::Panic(detail.to_string()),
                 "timeout" => QuarantineReason::Timeout {
-                    elapsed_ms: detail.parse().map_err(|e| {
-                        CheckpointStale::Malformed(format!(
-                            "line {ln}: bad timeout ms {detail:?}: {e}"
-                        ))
-                    })?,
+                    elapsed_ms: line.int(detail, "timeout ms")?,
                 },
                 other => {
-                    return Err(CheckpointStale::Malformed(format!(
-                        "line {ln}: unknown quarantine kind {other:?}"
-                    )))
+                    return Err(line.malformed(format_args!("unknown quarantine kind {other:?}")))
                 }
             };
             record.quarantined.push(QuarantinedInstance {
                 n: record.n,
-                index: parse_usize(index, ln)?,
-                rng_seed,
+                index: line.int(index, "index")?,
+                rng_seed: line.hex(seed, "rng seed")?,
                 reason,
             });
         }
@@ -388,8 +292,10 @@ pub fn write_quarantine_file(
         };
         let _ = writeln!(
             content,
-            "csaq1|{}|{}|{:016x}|{kind}|{detail}",
-            q.n, q.index, q.rng_seed
+            "csaq1|{}|{}|{}|{kind}|{detail}",
+            q.n,
+            q.index,
+            hex_u64(q.rng_seed)
         );
     }
     write_atomic(&path, &content)?;
@@ -467,24 +373,49 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
+    /// FNV-1a digest of the journal bytes [`save_journal`] wrote for
+    /// [`sample_records`] before the artifact codec was shared
+    /// (DESIGN.md §15); resumes in the field read these files.
+    const JOURNAL_DIGEST: u64 = 0x115c_7d5e_be31_e13b;
+
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let path = temp_path("pinned.csacp");
+        save_journal(
+            &path,
+            "csacp1|sweep=test|seed=2017|cols=a,b,c",
+            &sample_records(),
+        )
+        .unwrap();
+        let mut h = crate::artifact::Fnv64::default();
+        h.write_bytes(&std::fs::read(&path).unwrap());
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(
+            h.finish(),
+            JOURNAL_DIGEST,
+            "journal bytes drifted: {:#018x}",
+            h.finish()
+        );
+    }
+
     #[test]
     fn header_mismatch_names_the_field() {
         let path = temp_path("mismatch.csacp");
         save_journal(&path, "csacp1|sweep=test|seed=2017|cols=a,b,c", &[]).unwrap();
         let err = load_journal(&path, "csacp1|sweep=test|seed=2018|cols=a,b,c", 3).unwrap_err();
-        assert_eq!(err, CheckpointStale::Mismatch("seed=".to_string()));
+        assert_eq!(err, Stale::Mismatch("seed".to_string()));
         let err = load_journal(&path, "csacpX|sweep=test|seed=2017|cols=a,b,c", 3).unwrap_err();
-        assert_eq!(err, CheckpointStale::Mismatch("csacp1".to_string()));
+        assert_eq!(err, Stale::Mismatch("tag".to_string()));
         let err =
             load_journal(&path, "csacp1|sweep=test|seed=2017|cols=a,b,c|extra=1", 3).unwrap_err();
-        assert!(matches!(err, CheckpointStale::Malformed(_)), "{err:?}");
+        assert!(matches!(err, Stale::Malformed(_)), "{err:?}");
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn missing_and_corrupt_journals_are_stale() {
         let missing = load_journal(Path::new("/nonexistent/x.csacp"), "h", 1);
-        assert_eq!(missing.unwrap_err(), CheckpointStale::Missing);
+        assert_eq!(missing.unwrap_err(), Stale::Missing);
 
         let header = "csacp1|sweep=test|cols=a";
         let path = temp_path("corrupt.csacp");
@@ -500,7 +431,7 @@ mod tests {
         ] {
             std::fs::write(&path, format!("{header}\n{body}")).unwrap();
             let err = load_journal(&path, header, 1).unwrap_err();
-            let CheckpointStale::Malformed(msg) = &err else {
+            let Stale::Malformed(msg) = &err else {
                 panic!("{body:?}: expected Malformed, got {err:?}");
             };
             assert!(msg.contains(needle), "{body:?}: {msg:?} missing {needle:?}");

@@ -43,6 +43,10 @@
 //!   §12) under worst/best/uniform policies, with observed responses
 //!   checked against the analytical `[R_b, R_w]` bounds and recorded
 //!   verdicts replayed.
+//! * [`artifact`] — the one codec behind the fingerprinted on-disk
+//!   files (margin tables, checkpoint journals, monitor snapshots):
+//!   `tag|key=value` headers, one stale diagnosis, bit-exact hex
+//!   values and FNV-1a (DESIGN.md §15).
 //!
 //! The `table1`, `fig2`, `fig4`, `fig5`, `census` and `all` binaries wrap
 //! these with console tables and CSV output under `results/`; all accept
@@ -78,6 +82,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 mod benchgen;
 mod census;
 mod checkpoint;
@@ -103,8 +108,7 @@ pub use census::{
     run_census_with_threads, CensusConfig, CensusRow, InstanceClassification,
 };
 pub use checkpoint::{
-    journal_path, write_quarantine_file, CheckpointStale, QuarantineReason, QuarantinedInstance,
-    CHECKPOINT_TAG,
+    journal_path, write_quarantine_file, QuarantineReason, QuarantinedInstance, CHECKPOINT_TAG,
 };
 pub use crossval::{
     find_unknown_instances, quantize_replica, quantize_task, run_crossval, snap_period_pow2,
@@ -117,7 +121,7 @@ pub use fig5::{empirical_order, run_fig5, Fig5Config, Fig5Point};
 pub use grid::{log_period_grid, log_period_point};
 pub use margin_cache::{
     load_margin_artifact, margin_artifact_path, pool_fingerprint, save_margin_artifact,
-    warm_cached_tables, StaleReason, MARGIN_ARTIFACT_TAG,
+    warm_cached_tables, MARGIN_ARTIFACT_TAG,
 };
 pub use margins::{
     fresh_margin_fit, interpolated_tables, margin_tables, warm_interpolated_tables,

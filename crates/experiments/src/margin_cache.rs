@@ -16,9 +16,11 @@
 //! The header carries everything the tables are keyed on. On any
 //! mismatch — version tag, kernel revision, plant-pool fingerprint,
 //! grid shape, period series, safety factor — the loader reports a
-//! [`StaleReason`] and [`warm_cached_tables`] recomputes with a warning;
-//! a stale artifact is *never* silently reused (DESIGN.md §10).
+//! [`Stale`] naming the field and [`warm_cached_tables`] recomputes with
+//! a warning; a stale artifact is *never* silently reused (DESIGN.md
+//! §10, codec in §15).
 
+use crate::artifact::{hex_f64, hex_u64, read_artifact, Fnv64, Header, LineCursor, Stale};
 use crate::margins::{
     self, InterpSegmentRun, MarginEntry, MarginInterp, PlantMargins, CURVE_POINTS,
     DENSE_GRID_POINTS, GRID_POINTS, INTERP_SAFETY, PERIOD_SERIES,
@@ -26,7 +28,7 @@ use crate::margins::{
 use crate::report::RESULTS_DIR;
 use csa_control::plants;
 use csa_linalg::Mat;
-use std::fmt;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the margin-table artifact format; first header field.
@@ -43,75 +45,11 @@ pub(crate) const KERNEL_REVISION: u32 = 1;
 /// File name of the artifact inside the cache directory.
 const ARTIFACT_FILE: &str = "margin_tables.csamt";
 
-/// Why a margin-table artifact cannot back the current request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StaleReason {
-    /// No artifact file exists at the path (first run; not an error).
-    Missing,
-    /// The version tag is not [`MARGIN_ARTIFACT_TAG`].
-    VersionTag,
-    /// The artifact was produced by a different kernel revision.
-    KernelRevision,
-    /// The plant-pool fingerprint (names, models, weights, period
-    /// ranges) does not match the compiled-in pool.
-    PoolHash,
-    /// The grid shape `(GRID_POINTS, DENSE_GRID_POINTS, CURVE_POINTS)`
-    /// does not match.
-    GridShape,
-    /// The engineering period-series fingerprint does not match.
-    SeriesHash,
-    /// The `INTERP_SAFETY` conservatism factor does not match.
-    SafetyFactor,
-    /// The file exists but cannot be parsed (truncation, corruption, or
-    /// an I/O error other than absence); carries a diagnostic.
-    Malformed(String),
-}
-
-impl fmt::Display for StaleReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StaleReason::Missing => write!(f, "no artifact file"),
-            StaleReason::VersionTag => write!(f, "unrecognized artifact version tag"),
-            StaleReason::KernelRevision => write!(f, "kernel revision mismatch"),
-            StaleReason::PoolHash => write!(f, "plant-pool fingerprint mismatch"),
-            StaleReason::GridShape => write!(f, "grid shape mismatch"),
-            StaleReason::SeriesHash => write!(f, "period-series fingerprint mismatch"),
-            StaleReason::SafetyFactor => write!(f, "conservatism safety-factor mismatch"),
-            StaleReason::Malformed(m) => write!(f, "malformed artifact: {m}"),
-        }
-    }
-}
-
-/// Streaming FNV-1a 64-bit hasher (deterministic across platforms and
-/// processes, unlike `std`'s `DefaultHasher`).
-pub(crate) struct Fnv64(pub(crate) u64);
-
-impl Fnv64 {
-    pub(crate) fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    pub(crate) fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_mat(&mut self, m: &Mat) {
-        self.write_u64(m.rows() as u64);
-        self.write_u64(m.cols() as u64);
-        for &v in m.as_slice() {
-            self.write_f64(v);
-        }
+fn write_mat(h: &mut Fnv64, m: &Mat) {
+    h.write_u64(m.rows() as u64);
+    h.write_u64(m.cols() as u64);
+    for &v in m.as_slice() {
+        h.write_f64(v);
     }
 }
 
@@ -120,7 +58,7 @@ impl Fnv64 {
 /// Any pool change invalidates every margin-table artifact.
 pub fn pool_fingerprint() -> u64 {
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
-    let mut h = Fnv64::new();
+    let mut h = Fnv64::default();
     h.write_u64(pool.len() as u64);
     for bp in &pool {
         h.write_bytes(bp.name.as_bytes());
@@ -128,7 +66,7 @@ pub fn pool_fingerprint() -> u64 {
         h.write_f64(bp.period_range.0);
         h.write_f64(bp.period_range.1);
         for m in [bp.plant.a(), bp.plant.b(), bp.plant.c(), bp.plant.d()] {
-            h.write_mat(m);
+            write_mat(&mut h, m);
         }
         for m in [
             &bp.weights.q1,
@@ -136,65 +74,32 @@ pub fn pool_fingerprint() -> u64 {
             &bp.weights.r1,
             &bp.weights.r2,
         ] {
-            h.write_mat(m);
+            write_mat(&mut h, m);
         }
     }
-    h.0
+    h.finish()
 }
 
 fn series_fingerprint() -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv64::default();
     h.write_u64(PERIOD_SERIES.len() as u64);
     for &p in &PERIOD_SERIES {
         h.write_f64(p);
     }
-    h.0
+    h.finish()
 }
 
 fn header_line() -> String {
-    format!(
-        "{MARGIN_ARTIFACT_TAG}|kernel={KERNEL_REVISION}|pool={:016x}|grid={},{},{}|series={:016x}|safety={:016x}",
-        pool_fingerprint(),
-        GRID_POINTS,
-        DENSE_GRID_POINTS,
-        CURVE_POINTS,
-        series_fingerprint(),
-        INTERP_SAFETY.to_bits(),
-    )
-}
-
-/// Diagnoses a header mismatch field-by-field: the first differing field
-/// names the invalidation cause.
-fn check_header(line: &str) -> Result<(), StaleReason> {
-    let expected = header_line();
-    if line == expected {
-        return Ok(());
-    }
-    let got: Vec<&str> = line.split('|').collect();
-    let want: Vec<&str> = expected.split('|').collect();
-    if got.first() != want.first() {
-        return Err(StaleReason::VersionTag);
-    }
-    if got.len() != want.len() {
-        return Err(StaleReason::Malformed(format!(
-            "header has {} fields, expected {}",
-            got.len(),
-            want.len()
-        )));
-    }
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        if g != w {
-            return Err(match i {
-                1 => StaleReason::KernelRevision,
-                2 => StaleReason::PoolHash,
-                3 => StaleReason::GridShape,
-                4 => StaleReason::SeriesHash,
-                5 => StaleReason::SafetyFactor,
-                _ => StaleReason::Malformed(format!("unexpected header field {i}: {g}")),
-            });
-        }
-    }
-    unreachable!("some field must differ when the lines differ");
+    Header::new(MARGIN_ARTIFACT_TAG)
+        .field("kernel", KERNEL_REVISION)
+        .field("pool", hex_u64(pool_fingerprint()))
+        .field(
+            "grid",
+            format_args!("{GRID_POINTS},{DENSE_GRID_POINTS},{CURVE_POINTS}"),
+        )
+        .field("series", hex_u64(series_fingerprint()))
+        .field("safety", hex_f64(INTERP_SAFETY))
+        .finish()
 }
 
 /// Location of the margin-table artifact: `$CSA_MARGIN_CACHE_DIR` if
@@ -207,8 +112,7 @@ pub fn margin_artifact_path() -> PathBuf {
 }
 
 fn push_f64(out: &mut String, v: f64) {
-    out.push('|');
-    out.push_str(&format!("{:016x}", v.to_bits()));
+    let _ = write!(out, "|{}", hex_f64(v));
 }
 
 /// Serializes the margin tables and interpolants to `path` (creating
@@ -269,102 +173,40 @@ pub fn save_margin_artifact(
     crate::report::write_atomic(path, &out)
 }
 
-/// Line cursor over the artifact's content lines (blanks and `#`
-/// comments skipped), annotating every failure with its line number.
-struct Cursor<'a> {
-    lines: std::iter::Peekable<std::vec::IntoIter<(usize, &'a str)>>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        Cursor {
-            lines: lines.into_iter().peekable(),
-        }
-    }
-
-    fn next(&mut self, what: &str) -> Result<(usize, &'a str), StaleReason> {
-        self.lines.next().ok_or_else(|| {
-            StaleReason::Malformed(format!("unexpected end of file, expected {what}"))
-        })
-    }
-}
-
-fn parse_f64_bits(s: &str, line: usize) -> Result<f64, StaleReason> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| StaleReason::Malformed(format!("line {line}: bad f64 bit pattern {s:?}: {e}")))
-}
-
-fn parse_usize(s: &str, line: usize) -> Result<usize, StaleReason> {
-    s.parse()
-        .map_err(|e| StaleReason::Malformed(format!("line {line}: bad count {s:?}: {e}")))
-}
-
-fn expect_fields<'a>(
-    line: usize,
-    text: &'a str,
-    tag: &str,
-    n: usize,
-) -> Result<Vec<&'a str>, StaleReason> {
-    let fields: Vec<&str> = text.split('|').collect();
-    if fields.len() != n + 1 || fields[0] != tag {
-        return Err(StaleReason::Malformed(format!(
-            "line {line}: expected `{tag}` record with {n} fields, got {text:?}"
-        )));
-    }
-    Ok(fields[1..].to_vec())
-}
-
 /// Loads and validates a margin-table artifact.
 ///
 /// # Errors
 ///
-/// [`StaleReason`] when the file is absent, its header does not match
-/// the compiled-in pool/grid/kernel, or its body is corrupt. Callers
-/// must recompute in every error case.
-pub fn load_margin_artifact(
-    path: &Path,
-) -> Result<(Vec<PlantMargins>, Vec<MarginInterp>), StaleReason> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StaleReason::Missing),
-        Err(e) => {
-            return Err(StaleReason::Malformed(format!(
-                "read {}: {e}",
-                path.display()
-            )))
-        }
-    };
+/// [`Stale`] when the file is absent, its header does not match the
+/// compiled-in pool/grid/kernel, or its body is corrupt. Callers must
+/// recompute in every error case.
+pub fn load_margin_artifact(path: &Path) -> Result<(Vec<PlantMargins>, Vec<MarginInterp>), Stale> {
+    let text = read_artifact(path)?;
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
-    let mut cur = Cursor::new(&text);
-    let (_, header) = cur.next("header")?;
-    check_header(header)?;
+    let mut cur = LineCursor::new(&text);
+    cur.header(&header_line())?;
 
     let mut tables = Vec::with_capacity(pool.len());
     for bp in &pool {
-        let (ln, line) = cur.next("table record")?;
-        let f = expect_fields(ln, line, "table", 2)?;
+        let line = cur.next("table record")?;
+        let f = line.record("table", 2)?;
         if f[0] != bp.name {
-            return Err(StaleReason::Malformed(format!(
-                "line {ln}: table for {:?}, expected {:?} (pool order)",
+            return Err(line.malformed(format_args!(
+                "table for {:?}, expected {:?} (pool order)",
                 f[0], bp.name
             )));
         }
-        let count = parse_usize(f[1], ln)?;
-        let mut entries = Vec::with_capacity(count);
+        let count: usize = line.int(f[1], "count")?;
+        // Bounded by the lines left: a corrupt count must fail as
+        // malformed, not abort on a huge allocation.
+        let mut entries = Vec::with_capacity(count.min(cur.remaining()));
         for _ in 0..count {
-            let (ln, line) = cur.next("table entry")?;
-            let f = expect_fields(ln, line, "e", 3)?;
+            let line = cur.next("table entry")?;
+            let f = line.record("e", 3)?;
             entries.push(MarginEntry {
-                period: parse_f64_bits(f[0], ln)?,
-                a: parse_f64_bits(f[1], ln)?,
-                b: parse_f64_bits(f[2], ln)?,
+                period: line.f64(f[0], "period")?,
+                a: line.f64(f[1], "a")?,
+                b: line.f64(f[2], "b")?,
             });
         }
         tables.push(PlantMargins {
@@ -375,52 +217,51 @@ pub fn load_margin_artifact(
 
     let mut interp = Vec::with_capacity(pool.len());
     for bp in &pool {
-        let (ln, line) = cur.next("interp record")?;
-        let f = expect_fields(ln, line, "interp", 2)?;
+        let line = cur.next("interp record")?;
+        let f = line.record("interp", 2)?;
         if f[0] != bp.name {
-            return Err(StaleReason::Malformed(format!(
-                "line {ln}: interpolant for {:?}, expected {:?} (pool order)",
+            return Err(line.malformed(format_args!(
+                "interpolant for {:?}, expected {:?} (pool order)",
                 f[0], bp.name
             )));
         }
-        let n_runs = parse_usize(f[1], ln)?;
-        let mut runs = Vec::with_capacity(n_runs);
+        let n_runs: usize = line.int(f[1], "run count")?;
+        let mut runs = Vec::with_capacity(n_runs.min(cur.remaining()));
         for _ in 0..n_runs {
-            let (ln, line) = cur.next("run record")?;
-            let f = expect_fields(ln, line, "run", 3)?;
-            let p_lo = parse_f64_bits(f[0], ln)?;
-            let p_hi = parse_f64_bits(f[1], ln)?;
-            let knots = parse_usize(f[2], ln)?;
+            let line = cur.next("run record")?;
+            let f = line.record("run", 3)?;
+            let p_lo = line.f64(f[0], "p_lo")?;
+            let p_hi = line.f64(f[1], "p_hi")?;
+            let knots: usize = line.int(f[2], "knot count")?;
             if knots < 2 {
-                return Err(StaleReason::Malformed(format!(
-                    "line {ln}: run with {knots} knots (need >= 2)"
-                )));
+                return Err(line.malformed(format_args!("run with {knots} knots (need >= 2)")));
             }
+            let cap = knots.min(cur.remaining());
             let mut run = InterpSegmentRun {
                 p_lo,
                 p_hi,
-                x: Vec::with_capacity(knots),
-                a: Vec::with_capacity(knots),
-                b: Vec::with_capacity(knots),
-                ta: Vec::with_capacity(knots),
-                tb: Vec::with_capacity(knots),
-                shrink_b: Vec::with_capacity(knots - 1),
-                inflate_a: Vec::with_capacity(knots - 1),
+                x: Vec::with_capacity(cap),
+                a: Vec::with_capacity(cap),
+                b: Vec::with_capacity(cap),
+                ta: Vec::with_capacity(cap),
+                tb: Vec::with_capacity(cap),
+                shrink_b: Vec::with_capacity(cap),
+                inflate_a: Vec::with_capacity(cap),
             };
             for _ in 0..knots {
-                let (ln, line) = cur.next("knot record")?;
-                let f = expect_fields(ln, line, "k", 5)?;
-                run.x.push(parse_f64_bits(f[0], ln)?);
-                run.a.push(parse_f64_bits(f[1], ln)?);
-                run.b.push(parse_f64_bits(f[2], ln)?);
-                run.ta.push(parse_f64_bits(f[3], ln)?);
-                run.tb.push(parse_f64_bits(f[4], ln)?);
+                let line = cur.next("knot record")?;
+                let f = line.record("k", 5)?;
+                run.x.push(line.f64(f[0], "x")?);
+                run.a.push(line.f64(f[1], "a")?);
+                run.b.push(line.f64(f[2], "b")?);
+                run.ta.push(line.f64(f[3], "ta")?);
+                run.tb.push(line.f64(f[4], "tb")?);
             }
             for _ in 0..knots - 1 {
-                let (ln, line) = cur.next("factor record")?;
-                let f = expect_fields(ln, line, "f", 2)?;
-                run.shrink_b.push(parse_f64_bits(f[0], ln)?);
-                run.inflate_a.push(parse_f64_bits(f[1], ln)?);
+                let line = cur.next("factor record")?;
+                let f = line.record("f", 2)?;
+                run.shrink_b.push(line.f64(f[0], "shrink_b")?);
+                run.inflate_a.push(line.f64(f[1], "inflate_a")?);
             }
             runs.push(run);
         }
@@ -429,11 +270,7 @@ pub fn load_margin_artifact(
             runs,
         });
     }
-    if let Some((ln, line)) = cur.lines.next() {
-        return Err(StaleReason::Malformed(format!(
-            "line {ln}: trailing content {line:?}"
-        )));
-    }
+    cur.finish()?;
     Ok((tables, interp))
 }
 
@@ -461,7 +298,7 @@ pub fn warm_cached_tables(threads: usize) -> (&'static [PlantMargins], &'static 
         ),
         Err(reason) => {
             match &reason {
-                StaleReason::Missing => {
+                Stale::Missing => {
                     eprintln!(
                         "margins: no artifact at {} — computing tables",
                         path.display()
@@ -501,27 +338,51 @@ mod tests {
 
     #[test]
     fn header_checks_pass_on_own_output_and_name_each_field() {
-        check_header(&header_line()).expect("own header must validate");
-        let fields: Vec<String> = header_line().split('|').map(String::from).collect();
-        let cases = [
-            (0, StaleReason::VersionTag),
-            (1, StaleReason::KernelRevision),
-            (2, StaleReason::PoolHash),
-            (3, StaleReason::GridShape),
-            (4, StaleReason::SeriesHash),
-            (5, StaleReason::SafetyFactor),
-        ];
-        for (idx, want) in cases {
-            let mut f = fields.clone();
-            f[idx] = format!("{}x", f[idx]);
+        let header = header_line();
+        LineCursor::new(&header)
+            .header(&header)
+            .expect("own header must validate");
+        let fields: Vec<&str> = header.split('|').collect();
+        let keys = ["tag", "kernel", "pool", "grid", "series", "safety"];
+        for (idx, want) in keys.into_iter().enumerate() {
+            let mut f: Vec<String> = fields.iter().map(|s| s.to_string()).collect();
+            f[idx].push('x');
             let line = f.join("|");
-            assert_eq!(check_header(&line).unwrap_err(), want, "field {idx}");
+            let got = LineCursor::new(&line).header(&header).unwrap_err();
+            assert_eq!(got, Stale::Mismatch(want.to_string()), "field {idx}");
         }
+    }
+
+    /// FNV-1a digest of the artifact bytes [`save_margin_artifact`] wrote
+    /// for freshly computed tables before the artifact codec was shared
+    /// (DESIGN.md §15). The writer must stay byte-identical: warm starts
+    /// in the field load these files.
+    const MARGIN_ARTIFACT_DIGEST: u64 = 0x51d2_a0a3_d8d4_eab4;
+
+    #[test]
+    fn artifact_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("csa_margin_pin_{}", std::process::id()));
+        let path = dir.join(ARTIFACT_FILE);
+        save_margin_artifact(
+            &path,
+            margins::warm_margin_tables(0),
+            margins::warm_interpolated_tables(0),
+        )
+        .unwrap();
+        let mut h = Fnv64::default();
+        h.write_bytes(&std::fs::read(&path).unwrap());
+        std::fs::remove_dir_all(dir).unwrap();
+        assert_eq!(
+            h.finish(),
+            MARGIN_ARTIFACT_DIGEST,
+            "artifact bytes drifted: {:#018x}",
+            h.finish()
+        );
     }
 
     #[test]
     fn missing_artifact_is_reported_as_missing() {
         let err = load_margin_artifact(Path::new("/nonexistent/dir/margin_tables.csamt"));
-        assert_eq!(err.unwrap_err(), StaleReason::Missing);
+        assert_eq!(err.unwrap_err(), Stale::Missing);
     }
 }

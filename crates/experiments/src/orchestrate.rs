@@ -33,9 +33,8 @@
 //! (the default) are bit-deterministic unconditionally, panics included
 //! (a panic is a pure function of the instance).
 
-use crate::checkpoint::{
-    self, CheckpointStale, QuarantineReason, QuarantinedInstance, ShardRecord,
-};
+use crate::artifact::{hex_u64, Header, Stale};
+use crate::checkpoint::{self, QuarantineReason, QuarantinedInstance, ShardRecord};
 use crate::margin_cache;
 use crate::parallel::{instance_seed, parallel_map_catching};
 use crate::witness::Witness;
@@ -138,31 +137,30 @@ impl SweepSpec {
     /// values, so a kernel or pool change invalidates partial results
     /// exactly as it invalidates the margin artifact).
     pub fn header_line(&self, orch: &OrchestratorConfig) -> String {
-        use std::fmt::Write as _;
         let ns: Vec<String> = self.task_counts.iter().map(usize::to_string).collect();
-        let mut h = format!(
-            "{}|sweep={}|kernel={}|pool={:016x}|seed={}|benchmarks={}|ns={}|cols={}|shard={}|reservoir={}|timeout={}",
-            checkpoint::CHECKPOINT_TAG,
-            self.name,
-            margin_cache::KERNEL_REVISION,
-            margin_cache::pool_fingerprint(),
-            self.seed,
-            self.benchmarks,
-            ns.join(","),
-            self.columns.join(","),
-            orch.shard_size,
-            if orch.reservoir == usize::MAX {
-                "max".to_string()
-            } else {
-                orch.reservoir.to_string()
-            },
-            orch.instance_timeout_ms
-                .map_or("none".to_string(), |ms| format!("{ms}ms")),
-        );
-        for (k, v) in &self.config {
-            let _ = write!(h, "|{k}={v}");
-        }
-        h
+        let reservoir = if orch.reservoir == usize::MAX {
+            "max".to_string()
+        } else {
+            orch.reservoir.to_string()
+        };
+        let timeout = orch
+            .instance_timeout_ms
+            .map_or("none".to_string(), |ms| format!("{ms}ms"));
+        let header = Header::new(checkpoint::CHECKPOINT_TAG)
+            .field("sweep", self.name)
+            .field("kernel", margin_cache::KERNEL_REVISION)
+            .field("pool", hex_u64(margin_cache::pool_fingerprint()))
+            .field("seed", self.seed)
+            .field("benchmarks", self.benchmarks)
+            .field("ns", ns.join(","))
+            .field("cols", self.columns.join(","))
+            .field("shard", orch.shard_size)
+            .field("reservoir", reservoir)
+            .field("timeout", timeout);
+        self.config
+            .iter()
+            .fold(header, |h, (k, v)| h.field(k, v))
+            .finish()
     }
 }
 
@@ -373,7 +371,7 @@ where
                     );
                     existing = records.into_iter().map(|r| ((r.n, r.start), r)).collect();
                 }
-                Err(CheckpointStale::Missing) => {
+                Err(Stale::Missing) => {
                     eprintln!(
                         "{}: no checkpoint at {} — starting fresh",
                         spec.name,
@@ -649,6 +647,42 @@ mod tests {
         let records = checkpoint::load_journal(&path, &other.header_line(&orch), 3).unwrap();
         assert_eq!(records.len(), 4);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// FNV-1a digests of [`SweepSpec::header_line`] for one fixed spec
+    /// (bounded reservoir and timeout, then the in-memory defaults),
+    /// captured before the artifact codec was shared (DESIGN.md §15):
+    /// a changed byte would orphan every journal in the field.
+    const SWEEP_HEADER_DIGESTS: [u64; 2] = [0xb0de_a253_6760_7bca, 0xabd3_f6ff_aea6_a357];
+
+    #[test]
+    fn header_bytes_are_pinned() {
+        let spec = SweepSpec {
+            name: "census",
+            columns: &["feasible", "unsafe_invalid", "lies"],
+            seed: 77,
+            task_counts: vec![4, 8, 12],
+            benchmarks: 300,
+            config: vec![
+                ("profile", "margin-tight".to_string()),
+                ("search", "portfolio".to_string()),
+                ("budget", "50000".to_string()),
+            ],
+        };
+        let bounded = OrchestratorConfig {
+            shard_size: 64,
+            reservoir: 16,
+            instance_timeout_ms: Some(250),
+            ..OrchestratorConfig::in_memory()
+        };
+        for (orch, want) in [bounded, OrchestratorConfig::in_memory()]
+            .iter()
+            .zip(SWEEP_HEADER_DIGESTS)
+        {
+            let mut h = crate::artifact::Fnv64::default();
+            h.write_bytes(spec.header_line(orch).as_bytes());
+            assert_eq!(h.finish(), want, "header drifted: {:#018x}", h.finish());
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! as IEEE-754 bit patterns in hex, so a parsed witness compares equal to
 //! the generated original down to the last bit.
 
+use crate::artifact::{hex_f64, parse_hex_f64, LineCursor};
 use crate::benchgen::PeriodModel;
 use crate::report::RESULTS_DIR;
 use csa_core::{ControlTask, StabilityBound};
@@ -161,9 +162,7 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
 }
 
 fn parse_f64_bits(s: &str, what: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad {what} {s:?}: {e}"))
+    parse_hex_f64(s).map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
 /// Serializes a task set in the witness line's task-list syntax
@@ -179,13 +178,13 @@ pub fn format_task_list(tasks: &[ControlTask]) -> String {
         }
         let _ = write!(
             out,
-            "{}:{}:{}:{}:{:016x}:{:016x}",
+            "{}:{}:{}:{}:{}:{}",
             t.label(),
             t.task().c_best().get(),
             t.task().c_worst().get(),
             t.task().period().get(),
-            t.bound().a().to_bits(),
-            t.bound().b().to_bits(),
+            hex_f64(t.bound().a()),
+            hex_f64(t.bound().b()),
         );
     }
     out
@@ -233,13 +232,10 @@ fn parse_task(s: &str, index: usize) -> Result<ControlTask, String> {
 /// Propagates the first line's parse error, annotated with its line
 /// number.
 pub fn parse_witness_corpus(content: &str) -> Result<Vec<Witness>, String> {
+    let mut cur = LineCursor::new(content);
     let mut out = Vec::new();
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        out.push(Witness::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+    while let Some(line) = cur.next_line() {
+        out.push(Witness::parse(line.text).map_err(|e| format!("line {}: {e}", line.no))?);
     }
     Ok(out)
 }

@@ -7,9 +7,10 @@
 //! and named — silent reuse of a stale artifact is the failure mode the
 //! guard exists to prevent.
 
+use csa_experiments::artifact::Stale;
 use csa_experiments::{
     load_margin_artifact, save_margin_artifact, warm_interpolated_tables, warm_margin_tables,
-    InterpSegmentRun, MarginInterp, PlantMargins, StaleReason,
+    InterpSegmentRun, MarginInterp, PlantMargins,
 };
 use std::path::PathBuf;
 
@@ -115,15 +116,16 @@ fn corrupting_each_header_field_is_detected_and_named() {
             .join("\n")
     };
 
-    let cases: Vec<(usize, &str, StaleReason)> = vec![
-        (0, "csamt0", StaleReason::VersionTag),
-        (1, "kernel=999", StaleReason::KernelRevision),
-        (2, "pool=0000000000000000", StaleReason::PoolHash),
-        (3, "grid=9,14,15", StaleReason::GridShape),
-        (4, "series=ffffffffffffffff", StaleReason::SeriesHash),
-        (5, "safety=0000000000000000", StaleReason::SafetyFactor),
+    let cases = [
+        (0, "csamt0", "tag"),
+        (1, "kernel=999", "kernel"),
+        (2, "pool=0000000000000000", "pool"),
+        (3, "grid=9,14,15", "grid"),
+        (4, "series=ffffffffffffffff", "series"),
+        (5, "safety=0000000000000000", "safety"),
     ];
-    for (idx, replacement, want) in cases {
+    for (idx, replacement, key) in cases {
+        let want = Stale::Mismatch(key.to_string());
         std::fs::write(&path, corrupt_field(idx, replacement)).expect("write corrupted");
         let got = load_margin_artifact(&path).expect_err("corrupt header must be rejected");
         assert_eq!(got, want, "header field {idx} ({replacement})");
@@ -134,7 +136,7 @@ fn corrupting_each_header_field_is_detected_and_named() {
     let truncated: String = original.lines().take(keep).collect::<Vec<_>>().join("\n");
     std::fs::write(&path, truncated).expect("write truncated");
     match load_margin_artifact(&path) {
-        Err(StaleReason::Malformed(_)) => {}
+        Err(Stale::Malformed(_)) => {}
         other => panic!("truncated artifact must be malformed, got {other:?}"),
     }
 
@@ -147,8 +149,5 @@ fn corrupting_each_header_field_is_detected_and_named() {
 #[test]
 fn missing_artifact_reports_missing_not_malformed() {
     let path = scratch_path("missing").with_file_name("never_written.csamt");
-    assert_eq!(
-        load_margin_artifact(&path).unwrap_err(),
-        StaleReason::Missing
-    );
+    assert_eq!(load_margin_artifact(&path).unwrap_err(), Stale::Missing);
 }

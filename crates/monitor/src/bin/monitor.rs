@@ -22,9 +22,10 @@
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
+use csa_experiments::artifact::Stale;
 use csa_experiments::{budget_flag, search_flag, threads_flag, write_atomic, SearchConfig};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
-use csa_monitor::snapshot::{self, SnapshotStale};
+use csa_monitor::snapshot;
 use csa_monitor::{MonitorConfig, MonitorEngine, Response};
 
 fn flag_u64(name: &str, default: u64) -> u64 {
@@ -130,7 +131,7 @@ fn main() {
                 );
                 engine
             }
-            Err(SnapshotStale::Missing) => MonitorEngine::new(config),
+            Err(Stale::Missing) => MonitorEngine::new(config),
             Err(stale) => {
                 eprintln!("monitor: {stale}; starting fresh");
                 MonitorEngine::new(config)

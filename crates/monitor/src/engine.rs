@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use csa_core::{check_task, ControlTask, StabilityChecker, VerdictMemo, MEMO_MAX_TASKS};
+use csa_experiments::artifact::Fnv64;
 use csa_experiments::{
     classify_instance, classify_instance_on, generate_benchmark, instance_seed,
     parallel_map_catching, BenchmarkConfig, SearchConfig, WitnessKind,
@@ -85,27 +86,16 @@ impl Default for MonitorConfig {
 /// fingerprint. It is verified by full equality on every take, so a
 /// collision can only cost warmth, never correctness.
 pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
-    fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::default();
     for t in tasks {
-        h = mix_bytes(h, t.label().as_bytes());
-        for v in [
-            t.task().c_best().get(),
-            t.task().c_worst().get(),
-            t.task().period().get(),
-            t.bound().a().to_bits(),
-            t.bound().b().to_bits(),
-        ] {
-            h = mix_bytes(h, &v.to_le_bytes());
-        }
+        h.write_bytes(t.label().as_bytes());
+        h.write_u64(t.task().c_best().get());
+        h.write_u64(t.task().c_worst().get());
+        h.write_u64(t.task().period().get());
+        h.write_f64(t.bound().a());
+        h.write_f64(t.bound().b());
     }
-    h
+    h.finish()
 }
 
 /// Warm verdict-memo tables keyed by task-set fingerprint, FIFO-bounded.
@@ -868,5 +858,18 @@ mod tests {
         assert_eq!(engine.memo_tables(), 2);
         assert_eq!(out[0].checks, out[1].checks);
         assert_eq!(out[0].verdict, out[2].verdict);
+    }
+
+    /// [`task_fingerprint`] of one fixed task list, captured before the
+    /// monitor shared the workspace's FNV-1a hasher (DESIGN.md §15).
+    #[test]
+    fn task_fingerprint_is_pinned() {
+        let tasks = csa_experiments::parse_task_list(
+            "dc-servo:1:2:10:3ff8000000000000:3f589374bc6a7efa;\
+             pendulum:2:5:40:3ff4000000000000:3f33a92a30553261;\
+             τ-ball:3:3:7:4000000000000000:3fb3333333333333",
+        )
+        .unwrap();
+        assert_eq!(task_fingerprint(&tasks), 0xdb12_7aab_867c_b621);
     }
 }

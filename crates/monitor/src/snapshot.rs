@@ -11,7 +11,9 @@
 //! The fingerprint header pins every configuration knob that *does*
 //! shape the stream (search mode, budget, lock thresholds, event
 //! thresholds); `threads`, `batch_window` and `memo_tables` are omitted
-//! because the determinism contract makes them irrelevant. Writes go
+//! because the determinism contract makes them irrelevant. Header,
+//! stale diagnosis and value codecs are the shared artifact codec
+//! (`csa_experiments::artifact`, DESIGN.md §15). Writes go
 //! through `write_atomic` (tmp + rename), so a kill mid-snapshot leaves
 //! either the old file or the new one, never a torn state — the
 //! `service_faults` suite drives this with injected crashes.
@@ -19,6 +21,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
+use csa_experiments::artifact::{hex_f64, read_artifact, Header, LineCursor, Stale};
 use csa_experiments::write_atomic;
 
 use crate::baseline::{Baseline, BaselineState, CellStats, Lifecycle, LockedCell};
@@ -31,48 +34,23 @@ pub const SNAPSHOT_TAG: &str = "csamon1";
 /// File name of the snapshot inside a `--snapshot-dir`.
 pub const SNAPSHOT_FILE: &str = "monitor.csamon";
 
-/// Why a snapshot could not be restored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotStale {
-    /// No snapshot file present.
-    Missing,
-    /// A fingerprint header field disagrees with the running
-    /// configuration (named field).
-    Mismatch(String),
-    /// The file is not a well-formed `csamon1` snapshot.
-    Malformed(String),
-}
-
-impl std::fmt::Display for SnapshotStale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotStale::Missing => f.write_str("no snapshot present"),
-            SnapshotStale::Mismatch(field) => {
-                write!(f, "snapshot fingerprint mismatch on {field}")
-            }
-            SnapshotStale::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-        }
-    }
-}
-
 /// Path of the snapshot file inside `dir`.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
 fn header(config: &MonitorConfig) -> String {
-    format!(
-        "{SNAPSHOT_TAG}|search={}|budget={}|min_samples={}|min_coverage={}|z={:016x}|persistence={}|cooldown={}|drift_window={}|drift_threshold={:016x}",
-        config.search.mode.name(),
-        config.search.budget,
-        config.min_samples,
-        config.min_coverage,
-        config.z_threshold.to_bits(),
-        config.persistence,
-        config.cooldown,
-        config.drift_window,
-        config.drift_threshold.to_bits(),
-    )
+    Header::new(SNAPSHOT_TAG)
+        .field("search", config.search.mode.name())
+        .field("budget", config.search.budget)
+        .field("min_samples", config.min_samples)
+        .field("min_coverage", config.min_coverage)
+        .field("z", hex_f64(config.z_threshold))
+        .field("persistence", config.persistence)
+        .field("cooldown", config.cooldown)
+        .field("drift_window", config.drift_window)
+        .field("drift_threshold", hex_f64(config.drift_threshold))
+        .finish()
 }
 
 /// Serializes the engine's durable state as a `csamon1` document.
@@ -97,7 +75,7 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
             for ((n, profile), samples) in cells {
                 let body = samples
                     .iter()
-                    .map(|[s, ns]| format!("{:016x}:{:016x}", s.to_bits(), ns.to_bits()))
+                    .map(|[s, ns]| format!("{}:{}", hex_f64(*s), hex_f64(*ns)))
                     .collect::<Vec<_>>()
                     .join(",");
                 out.push_str(&format!("b|{n}|{profile}|{body}\n"));
@@ -108,17 +86,17 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
             truncation_rate,
             samples,
         } => {
-            out.push_str(&format!("T|{:016x}|{samples}\n", truncation_rate.to_bits()));
+            out.push_str(&format!("T|{}|{samples}\n", hex_f64(*truncation_rate)));
             for ((n, profile), cell) in cells {
                 let s = cell.stats[Metric::Slack.index()];
                 let ns = cell.stats[Metric::NormSlack.index()];
                 out.push_str(&format!(
-                    "L|{n}|{profile}|{}|{:016x}|{:016x}|{:016x}|{:016x}\n",
+                    "L|{n}|{profile}|{}|{}|{}|{}|{}\n",
                     s.count,
-                    s.mean.to_bits(),
-                    s.std.to_bits(),
-                    ns.mean.to_bits(),
-                    ns.std.to_bits(),
+                    hex_f64(s.mean),
+                    hex_f64(s.std),
+                    hex_f64(ns.mean),
+                    hex_f64(ns.std),
                 ));
             }
         }
@@ -146,30 +124,18 @@ pub fn save(engine: &MonitorEngine, dir: &Path) -> std::io::Result<()> {
 
 /// Restores an engine from snapshot text, verifying the configuration
 /// fingerprint field by field (first mismatch is named).
-pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, SnapshotStale> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| SnapshotStale::Malformed("empty file".to_string()))?;
-    check_header(&config, head)?;
+pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale> {
+    let mut cur = LineCursor::new(text);
+    cur.header(&header(&config))?;
 
-    let meta = lines
-        .next()
-        .ok_or_else(|| SnapshotStale::Malformed("missing state line".to_string()))?;
-    let meta: Vec<&str> = meta.split('|').collect();
-    if meta.len() != 5 || meta[0] != "m" {
-        return Err(SnapshotStale::Malformed("bad state line".to_string()));
-    }
-    let lifecycle = Lifecycle::parse(meta[1])
-        .ok_or_else(|| SnapshotStale::Malformed(format!("bad lifecycle {:?}", meta[1])))?;
-    let processed = parse_u64(meta[2], "processed")?;
-    let events_emitted = parse_u64(meta[3], "events_emitted")?;
-    let quarantined = parse_u64(meta[4], "quarantined")?;
-
+    let meta = cur.next("state line")?;
+    let f = meta.record("m", 4)?;
+    let lifecycle = Lifecycle::parse(f[0])
+        .ok_or_else(|| meta.malformed(format_args!("bad lifecycle {:?}", f[0])))?;
     let mut engine = MonitorEngine::new(config);
-    engine.processed = processed;
-    engine.events_emitted = events_emitted;
-    engine.quarantined = quarantined;
+    engine.processed = meta.int(f[1], "processed")?;
+    engine.events_emitted = meta.int(f[2], "events_emitted")?;
+    engine.quarantined = meta.int(f[3], "quarantined")?;
 
     let mut building_cells: BTreeMap<(usize, String), Vec<[f64; 2]>> = BTreeMap::new();
     let mut locked_cells: BTreeMap<(usize, String), LockedCell> = BTreeMap::new();
@@ -178,100 +144,91 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Snaps
     let mut window = VecDeque::new();
     let mut events_state = BTreeMap::new();
 
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').collect();
-        match fields[0] {
-            "t" if fields.len() == 3 => {
+    while let Some(line) = cur.next_line() {
+        let fields: Vec<&str> = line.text.split('|').collect();
+        match (fields[0], fields.len()) {
+            ("t", 3) => {
                 totals = Some((
-                    parse_u64(fields[1], "seen")?,
-                    parse_u64(fields[2], "truncated")?,
+                    line.int(fields[1], "seen")?,
+                    line.int(fields[2], "truncated")?,
                 ));
             }
-            "T" if fields.len() == 3 => {
+            ("T", 3) => {
                 locked_totals = Some((
-                    parse_f64_bits(fields[1], "truncation_rate")?,
-                    parse_u64(fields[2], "samples")?,
+                    line.f64(fields[1], "truncation_rate")?,
+                    line.int(fields[2], "samples")?,
                 ));
             }
-            "b" if fields.len() == 4 => {
-                let n = parse_u64(fields[1], "cell n")? as usize;
+            ("b", 4) => {
+                let n = line.int(fields[1], "cell n")?;
                 let mut samples = Vec::new();
                 if !fields[3].is_empty() {
                     for pair in fields[3].split(',') {
-                        let (s, ns) = pair.split_once(':').ok_or_else(|| {
-                            SnapshotStale::Malformed("bad sample pair".to_string())
-                        })?;
+                        let (s, ns) = pair
+                            .split_once(':')
+                            .ok_or_else(|| line.malformed("bad sample pair"))?;
                         samples.push([
-                            parse_f64_bits(s, "sample slack")?,
-                            parse_f64_bits(ns, "sample norm-slack")?,
+                            line.f64(s, "sample slack")?,
+                            line.f64(ns, "sample norm-slack")?,
                         ]);
                     }
                 }
                 building_cells.insert((n, fields[2].to_string()), samples);
             }
-            "L" if fields.len() == 8 => {
-                let n = parse_u64(fields[1], "cell n")? as usize;
-                let count = parse_u64(fields[3], "cell count")?;
+            ("L", 8) => {
+                let n = line.int(fields[1], "cell n")?;
+                let count = line.int(fields[3], "cell count")?;
                 let cell = LockedCell {
                     stats: [
                         CellStats {
                             count,
-                            mean: parse_f64_bits(fields[4], "slack mean")?,
-                            std: parse_f64_bits(fields[5], "slack std")?,
+                            mean: line.f64(fields[4], "slack mean")?,
+                            std: line.f64(fields[5], "slack std")?,
                         },
                         CellStats {
                             count,
-                            mean: parse_f64_bits(fields[6], "norm-slack mean")?,
-                            std: parse_f64_bits(fields[7], "norm-slack std")?,
+                            mean: line.f64(fields[6], "norm-slack mean")?,
+                            std: line.f64(fields[7], "norm-slack std")?,
                         },
                     ],
                 };
                 locked_cells.insert((n, fields[2].to_string()), cell);
             }
-            "w" if fields.len() == 2 => {
+            ("w", 2) => {
                 for c in fields[1].chars() {
                     match c {
                         '0' => window.push_back(false),
                         '1' => window.push_back(true),
-                        _ => {
-                            return Err(SnapshotStale::Malformed(
-                                "bad drift-window bit".to_string(),
-                            ))
-                        }
+                        _ => return Err(line.malformed("bad drift-window bit")),
                     }
                 }
             }
-            "e" if fields.len() == 4 => {
+            ("e", 4) => {
                 let last_fired = if fields[3] == "-" {
                     None
                 } else {
-                    Some(parse_u64(fields[3], "last_fired")?)
+                    Some(line.int(fields[3], "last_fired")?)
                 };
                 events_state.insert(
                     fields[1].to_string(),
                     EventState {
-                        streak: parse_u64(fields[2], "streak")?,
+                        streak: line.int(fields[2], "streak")?,
                         last_fired,
                     },
                 );
             }
-            tag => {
-                return Err(SnapshotStale::Malformed(format!(
-                    "unknown line tag {tag:?}"
-                )));
+            (tag, _) => {
+                return Err(line.malformed(format_args!("unknown line tag {tag:?}")));
             }
         }
     }
 
     let min_samples = engine.config.min_samples;
     let min_coverage = engine.config.min_coverage;
+    let missing = |tag: &str| Stale::Malformed(format!("missing '{tag}' line"));
     engine.baseline = match lifecycle {
         Lifecycle::Building => {
-            let (seen, truncated) =
-                totals.ok_or_else(|| SnapshotStale::Malformed("missing 't' line".to_string()))?;
+            let (seen, truncated) = totals.ok_or_else(|| missing("t"))?;
             Baseline {
                 min_samples,
                 min_coverage: min_coverage.max(1),
@@ -283,8 +240,7 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Snaps
             }
         }
         Lifecycle::Locked => {
-            let (truncation_rate, samples) = locked_totals
-                .ok_or_else(|| SnapshotStale::Malformed("missing 'T' line".to_string()))?;
+            let (truncation_rate, samples) = locked_totals.ok_or_else(|| missing("T"))?;
             Baseline {
                 min_samples,
                 min_coverage: min_coverage.max(1),
@@ -302,52 +258,8 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Snaps
 }
 
 /// Loads and restores the snapshot inside `dir`, if any.
-pub fn load(config: MonitorConfig, dir: &Path) -> Result<MonitorEngine, SnapshotStale> {
-    let path = snapshot_path(dir);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => restore(config, &text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(SnapshotStale::Missing),
-        Err(e) => Err(SnapshotStale::Malformed(format!("unreadable: {e}"))),
-    }
-}
-
-fn check_header(config: &MonitorConfig, head: &str) -> Result<(), SnapshotStale> {
-    let expected = header(config);
-    if head == expected {
-        return Ok(());
-    }
-    let stored: Vec<&str> = head.split('|').collect();
-    let wanted: Vec<&str> = expected.split('|').collect();
-    if stored.first() != Some(&SNAPSHOT_TAG) {
-        return Err(SnapshotStale::Malformed(format!(
-            "unknown tag {:?}",
-            stored.first().copied().unwrap_or("")
-        )));
-    }
-    for want in &wanted[1..] {
-        let Some((field, _)) = want.split_once('=') else {
-            continue;
-        };
-        let found = stored[1..]
-            .iter()
-            .find(|s| s.split_once('=').map(|(f, _)| f) == Some(field));
-        match found {
-            Some(got) if got == want => {}
-            _ => return Err(SnapshotStale::Mismatch(field.to_string())),
-        }
-    }
-    Err(SnapshotStale::Mismatch("header layout".to_string()))
-}
-
-fn parse_u64(s: &str, what: &str) -> Result<u64, SnapshotStale> {
-    s.parse()
-        .map_err(|_| SnapshotStale::Malformed(format!("bad {what}: {s:?}")))
-}
-
-fn parse_f64_bits(s: &str, what: &str) -> Result<f64, SnapshotStale> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| SnapshotStale::Malformed(format!("bad {what}: {s:?}")))
+pub fn load(config: MonitorConfig, dir: &Path) -> Result<MonitorEngine, Stale> {
+    restore(config, &read_artifact(&snapshot_path(dir))?)
 }
 
 #[cfg(test)]
@@ -398,6 +310,28 @@ mod tests {
         assert_eq!(restored.baseline(), engine.baseline());
     }
 
+    /// FNV-1a digests of [`snapshot_string`] for the Building
+    /// (`run_engine(6, 1_000)`) and Locked (`run_engine(16, 4)`) engines,
+    /// captured before the artifact codec was shared (DESIGN.md §15):
+    /// resumes in the field read these bytes.
+    const SNAPSHOT_DIGESTS: [u64; 2] = [0xeb6d_9dd7_4785_2cce, 0x6c52_f771_0100_7db7];
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let engines = [run_engine(6, 1_000), run_engine(16, 4)];
+        for (engine, want) in engines.iter().zip(SNAPSHOT_DIGESTS) {
+            let mut h = csa_experiments::artifact::Fnv64::default();
+            h.write_bytes(snapshot_string(engine).as_bytes());
+            assert_eq!(
+                h.finish(),
+                want,
+                "{} snapshot drifted: {:#018x}",
+                engine.lifecycle(),
+                h.finish()
+            );
+        }
+    }
+
     #[test]
     fn fingerprint_mismatch_names_the_field() {
         let engine = run_engine(2, 1_000);
@@ -406,7 +340,7 @@ mod tests {
         other.cooldown += 1;
         assert_eq!(
             restore(other, &text).err(),
-            Some(SnapshotStale::Mismatch("cooldown".to_string()))
+            Some(Stale::Mismatch("cooldown".to_string()))
         );
         // Latency-only knobs are not fingerprinted.
         let mut latency_only = engine.config().clone();
@@ -422,17 +356,17 @@ mod tests {
         let config = engine.config().clone();
         assert!(matches!(
             restore(config.clone(), ""),
-            Err(SnapshotStale::Malformed(_))
+            Err(Stale::Malformed(_))
         ));
-        assert!(matches!(
-            restore(config.clone(), "csaw1|nope"),
-            Err(SnapshotStale::Malformed(_))
-        ));
+        assert_eq!(
+            restore(config.clone(), "csaw1|nope").err(),
+            Some(Stale::Mismatch("tag".to_string()))
+        );
         let good = snapshot_string(&engine);
         let truncated: String = good.lines().take(1).collect();
         assert!(matches!(
             restore(config, &truncated),
-            Err(SnapshotStale::Malformed(_))
+            Err(Stale::Malformed(_))
         ));
     }
 }
