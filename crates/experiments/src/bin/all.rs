@@ -1,26 +1,22 @@
 //! Runs every experiment in sequence (Table I, Figs. 2/4/5, census).
-//! Pass `--quick` for reduced scales everywhere, `--threads N` to bound
-//! the worker count (default: available parallelism; results are
-//! identical at any setting), `--n LIST` to override the task-count
-//! sweeps, `--profile NAME` to select the benchmark period model, and
-//! `--search NAME` / `--budget N` to select and budget the assignment
-//! search, for the benchmark-driven experiments (Table I, Fig. 5,
-//! census; Figs. 2/4 sweep plants directly and have no benchmark
-//! distribution).
+//! `--profile`, `--n`, `--search` and `--budget` apply to the
+//! benchmark-driven experiments (Table I, Fig. 5, census; Figs. 2/4
+//! sweep plants directly and have no benchmark distribution). `all
+//! --help` lists the flags.
 
 use csa_experiments::{
-    budget_flag, format_census, format_table1, profile_flag, quick_flag, run_census_with_threads,
-    run_fig2_with_threads, run_fig4, run_fig5, run_table1_with_threads, search_flag,
-    task_counts_flag, threads_flag, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config,
-    Fig5Config, SearchConfig, Table1Config,
+    cli, format_census, format_table1, run_census_with_threads, run_fig2_with_threads, run_fig4,
+    run_fig5, run_table1_with_threads, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config,
+    Fig5Config, Table1Config,
 };
 
 fn main() {
-    let quick = quick_flag();
-    let threads = threads_flag();
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let task_counts = task_counts_flag();
+    let args = cli::parse(&[&cli::SWEEP]);
+    let quick = args.switch("--quick");
+    let threads = args.threads();
+    let profile = args.profile();
+    let search = args.search();
+    let task_counts = args.list("--n");
     eprintln!(
         "running all experiments ({} scale, profile {}, search {}, {} worker threads)",
         if quick { "quick" } else { "paper" },

@@ -4,80 +4,53 @@
 //! checking observed response times against the analytical WCRT/BCRT
 //! bounds and replaying the recorded verdicts.
 //!
-//! ```text
-//! crossval [--quick] [--threads T] [--corpus PATH] [--limit K]
-//!          [--max-jobs J] [--unknowns K] [--profile NAME] [--n LIST]
-//!          [--budget B] [--seed S]
-//! ```
-//!
-//! * `--corpus PATH` — witness corpus to execute (default: the committed
-//!   corpus baked into the binary).
-//! * `--limit K` — only the first K witnesses (`--quick` default: 20).
-//! * `--max-jobs J` — replica job cap; the quantizer narrows its period
-//!   mantissa until an instance fits (default 20M, quick 2M).
-//! * `--unknowns K` — scan K benchmark instances per n for
-//!   portfolio-unknowns and cross-validate them too (default 400, quick
-//!   0 = skip; use `--profile continuous --n 16` to reach the
-//!   population PR 5 measured at ~2% unknown).
-//! * `--budget B` — portfolio check budget for the unknown scan
-//!   (default 50 000).
+//! The witnesses come from the committed corpus unless `--corpus`
+//! names another; `--unknowns K` adds a scan of K benchmark instances
+//! per n for portfolio-unknowns (`--profile continuous --n 16` reaches
+//! the ~2% unknown population EXPERIMENTS.md reports). `crossval
+//! --help` lists the flags and their defaults.
 //!
 //! Writes `results/crossval[_profile].csv` and exits non-zero on any
 //! bound violation, WCRT-tightness miss, job-ledger mismatch, verdict
 //! replay failure, or instance error. Results are bit-identical at any
 //! `--threads` value.
 
+use std::path::PathBuf;
+
+use csa_experiments::cli::{self, Flag, Kind};
 use csa_experiments::{
-    find_unknown_instances, parse_witness_corpus, profile_flag, quick_flag, run_crossval,
-    task_counts_flag, threads_flag, warm_cached_tables, write_csv, CrossvalConfig,
-    CrossvalInstance, CrossvalRow, PeriodModel,
+    find_unknown_instances, parse_witness_corpus, run_crossval, warm_cached_tables, write_csv,
+    CrossvalConfig, CrossvalInstance, CrossvalRow, PeriodModel,
 };
 
 /// The committed witness corpus (pinned by the `witness_replay` suite).
 const COMMITTED_CORPUS: &str = include_str!("../../tests/data/witness_corpus.txt");
 
-/// Strict `--flag VALUE` / `--flag=VALUE` u64 parser: a present flag
-/// with a malformed value aborts instead of silently falling back.
-fn u64_arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = if a == name {
-            Some(args.get(i + 1).map(String::as_str).unwrap_or(""))
-        } else {
-            a.strip_prefix(&format!("{name}="))
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|_| {
-                eprintln!("bad {name} value {v:?}; expected an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-/// Optional `--flag VALUE` string argument.
-fn str_arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return Some(args.get(i + 1).cloned().unwrap_or_default());
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+const FLAGS: [Flag; 6] = [
+    Flag::new("--corpus", Kind::Path, "default: the committed corpus"),
+    Flag::int("--limit", 0, "first K witnesses (--quick: 20)"),
+    Flag::int("--max-jobs", 0, "replica job cap (default: 20M)"),
+    Flag::int("--unknowns", 0, "unknown scan per n (default: 400)"),
+    Flag::int("--budget", 1, "scan check budget (default: 50000)"),
+    Flag::int("--seed", 0, "scan seed (default: 77)"),
+];
 
 fn main() -> std::io::Result<()> {
-    let quick = quick_flag();
-    let threads = threads_flag();
-    let profile = profile_flag();
-    let seed = u64_arg("--seed", 77);
-    let max_jobs = u64_arg("--max-jobs", if quick { 2_000_000 } else { 20_000_000 });
-    let budget = u64_arg("--budget", 50_000);
-    let unknown_scan = u64_arg("--unknowns", if quick { 0 } else { 400 }) as usize;
+    let args = cli::parse(&[
+        &[cli::QUICK, cli::THREADS, cli::PROFILE, cli::TASK_COUNTS],
+        &FLAGS,
+    ]);
+    let quick = args.switch("--quick");
+    let threads = args.threads();
+    let profile = args.profile();
+    let seed = args.get("--seed").unwrap_or(77);
+    let max_jobs = args
+        .get("--max-jobs")
+        .unwrap_or(if quick { 2_000_000 } else { 20_000_000 });
+    let budget = args.get("--budget").unwrap_or(50_000);
+    let unknown_scan = args
+        .get("--unknowns")
+        .unwrap_or(if quick { 0 } else { 400 });
     let cfg = CrossvalConfig {
         threads,
         max_jobs,
@@ -86,15 +59,17 @@ fn main() -> std::io::Result<()> {
 
     // Witness instances: the committed corpus unless --corpus points
     // elsewhere, optionally truncated by --limit for smoke runs.
-    let corpus_text = match str_arg("--corpus") {
-        Some(path) => std::fs::read_to_string(&path)?,
+    let corpus_text = match args.get::<PathBuf>("--corpus") {
+        Some(path) => std::fs::read_to_string(path)?,
         None => COMMITTED_CORPUS.to_string(),
     };
     let witnesses = parse_witness_corpus(&corpus_text).unwrap_or_else(|e| {
         eprintln!("bad witness corpus: {e}");
         std::process::exit(2);
     });
-    let limit = u64_arg("--limit", if quick { 20 } else { u64::MAX }) as usize;
+    let limit = args
+        .get("--limit")
+        .unwrap_or(if quick { 20 } else { usize::MAX });
     let mut instances: Vec<CrossvalInstance> = witnesses
         .iter()
         .take(limit)
@@ -112,7 +87,7 @@ fn main() -> std::io::Result<()> {
     // margin tables, so they skip the artifact entirely.
     if unknown_scan > 0 {
         warm_cached_tables(threads);
-        for n in task_counts_flag().unwrap_or_else(|| vec![16]) {
+        for n in args.list("--n").unwrap_or_else(|| vec![16]) {
             let unknown = find_unknown_instances(profile, n, unknown_scan, seed, budget, threads);
             eprintln!(
                 "crossval: {} portfolio-unknowns among {unknown_scan} {profile} instances at n = {n} (budget {budget})",

@@ -1,16 +1,17 @@
-//! Regenerates the paper's Fig. 2 (cost vs. sampling period). Pass
-//! `--quick` for a reduced sweep and `--threads N` to bound the worker
-//! count (the curves are identical at any thread count).
+//! Regenerates the paper's Fig. 2 (cost vs. sampling period); the
+//! curves are identical at any thread count. `fig2 --help` lists the
+//! flags.
 
-use csa_experiments::{quick_flag, run_fig2_with_threads, threads_flag, write_csv, Fig2Config};
+use csa_experiments::{cli, run_fig2_with_threads, write_csv, Fig2Config};
 
 fn main() -> std::io::Result<()> {
-    let config = if quick_flag() {
+    let args = cli::parse(&[&[cli::QUICK, cli::THREADS]]);
+    let config = if args.switch("--quick") {
         Fig2Config::quick()
     } else {
         Fig2Config::paper()
     };
-    let threads = threads_flag();
+    let threads = args.threads();
     eprintln!(
         "fig2: sweeping h in [{}, {}] s with {} points ({} worker threads)",
         config.h_min, config.h_max, config.points, threads

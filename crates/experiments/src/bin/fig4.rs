@@ -1,10 +1,11 @@
 //! Regenerates the paper's Fig. 4 (stability curves + linear bounds).
-//! Pass `--quick` for a reduced run.
+//! `fig4 --help` lists the flags.
 
-use csa_experiments::{quick_flag, run_fig4, write_csv, Fig4Config};
+use csa_experiments::{cli, run_fig4, write_csv, Fig4Config};
 
 fn main() -> std::io::Result<()> {
-    let config = if quick_flag() {
+    let args = cli::parse(&[&[cli::QUICK]]);
+    let config = if args.switch("--quick") {
         Fig4Config::quick()
     } else {
         Fig4Config::paper()

@@ -1,30 +1,26 @@
-//! Regenerates the paper's Fig. 5 (assignment runtime vs. task count).
-//! Pass `--quick` for a reduced run, `--profile NAME` to select the
-//! benchmark period model, `--n LIST` (e.g. `--n 4,8,12`) to override
-//! the task-count sweep, `--search NAME` to pick the assignment search
-//! being timed (`backtracking` default, `portfolio`, `opa`), and
-//! `--budget N` to cap the logical checks each instance may spend
-//! (bounds the n ≥ 16 exponential tail on the continuous profiles).
-//! `--threads N` only affects the margin-table warm-up: the timing
-//! loop itself is single-threaded so workers cannot perturb the
-//! measured runtimes.
+//! Regenerates the paper's Fig. 5 (assignment runtime vs. task count)
+//! for the search `--search` selects; `--budget` bounds the n ≥ 16
+//! exponential tail on the continuous profiles. `--threads` only
+//! affects the margin-table warm-up: the timing loop itself is
+//! single-threaded so workers cannot perturb the measured runtimes.
+//! `fig5 --help` lists the flags.
 
 use csa_experiments::{
-    budget_flag, csv_file_name, empirical_order, profile_flag, quick_flag, run_fig5, search_flag,
-    task_counts_flag, threads_flag, warm_cached_tables, write_csv, Fig5Config, SearchConfig,
+    cli, csv_file_name, empirical_order, run_fig5, warm_cached_tables, write_csv, Fig5Config,
 };
 
 fn main() -> std::io::Result<()> {
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let mut config = if quick_flag() {
+    let args = cli::parse(&[&cli::SWEEP]);
+    let profile = args.profile();
+    let search = args.search();
+    let mut config = if args.switch("--quick") {
         Fig5Config::quick()
     } else {
         Fig5Config::paper()
     }
     .with_profile(profile)
     .with_search(search);
-    if let Some(counts) = task_counts_flag() {
+    if let Some(counts) = args.list("--n") {
         config.task_counts = counts;
     }
     eprintln!(
@@ -39,7 +35,7 @@ fn main() -> std::io::Result<()> {
             "unbounded".to_string()
         }
     );
-    warm_cached_tables(threads_flag());
+    warm_cached_tables(args.threads());
     let points = run_fig5(&config);
     println!(
         "{:>4} {:>16} {:>16} {:>12} {:>10} {:>12} {:>10} {:>10}",

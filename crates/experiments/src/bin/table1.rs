@@ -1,45 +1,34 @@
-//! Regenerates the paper's Table I. Pass `--quick` for a reduced run,
-//! `--threads N` to bound the worker count (results are identical at
-//! any thread count), and `--profile NAME` to select the benchmark
-//! period model (`grid-snapped` legacy default, `continuous`,
-//! `harmonic-stress`, `margin-tight`). `--n LIST` (e.g. `--n 4,8,12`)
-//! overrides the task-count sweep; `--search NAME` selects the solver
-//! behind the feasibility column (`backtracking` default, `portfolio`,
-//! `opa`) and `--budget N` caps its logical checks per instance.
-//! Every invalid instance found is serialized as a replayable witness
-//! line.
+//! Regenerates the paper's Table I; results are identical at any
+//! thread count. Every invalid instance found is serialized as a
+//! replayable witness line.
 //!
-//! Crash safety (DESIGN.md §11): `--checkpoint-dir DIR` journals each
-//! completed shard atomically; `--resume` replays a compatible journal
-//! and skips completed shards, making a killed run restartable with
-//! bit-identical final output. `--shard-size N` sets the checkpoint
-//! granularity, `--reservoir N` bounds witnesses kept per shard, and
-//! `--instance-timeout MS` quarantines overlong instances instead of
-//! letting one pathological benchmark stall the sweep. Panicking
-//! instances are always quarantined (recorded with their replayable
-//! seed, never aborting the run).
+//! Crash safety (DESIGN.md §11): the orchestration flags journal each
+//! completed shard and resume a killed run with bit-identical final
+//! output; panicking or overlong instances are quarantined (recorded
+//! with their replayable seed, never aborting the run). `table1
+//! --help` lists the flags.
 
 use csa_experiments::{
-    budget_flag, csv_file_name, format_table1, orchestrator_flags, profile_flag, quick_flag,
-    run_table1_orchestrated, search_flag, task_counts_flag, threads_flag, warm_cached_tables,
-    write_csv, write_quarantine_file, write_witness_file, SearchConfig, Table1Config,
+    cli, csv_file_name, format_table1, run_table1_orchestrated, warm_cached_tables, write_csv,
+    write_quarantine_file, write_witness_file, Table1Config,
 };
 
 fn main() -> std::io::Result<()> {
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let orch = orchestrator_flags();
-    let mut config = if quick_flag() {
+    let args = cli::parse(&[&cli::SWEEP, &cli::ORCHESTRATION]);
+    let profile = args.profile();
+    let search = args.search();
+    let orch = args.orchestrator();
+    let mut config = if args.switch("--quick") {
         Table1Config::quick()
     } else {
         Table1Config::paper()
     }
     .with_profile(profile)
     .with_search(search);
-    if let Some(counts) = task_counts_flag() {
+    if let Some(counts) = args.list("--n") {
         config.task_counts = counts;
     }
-    let threads = threads_flag();
+    let threads = args.threads();
     eprintln!(
         "table1: {} benchmarks per n over n = {:?} (seed {}, profile {}, search {}, {} worker threads)",
         config.benchmarks, config.task_counts, config.seed, profile, search.mode, threads

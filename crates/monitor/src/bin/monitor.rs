@@ -6,14 +6,8 @@
 //! batch. On a clean EOF it flushes the last partial batch, writes the
 //! accumulated event log to `results/monitor_events.jsonl`, and prints
 //! a summary to stderr. A malformed line exits 2, after answering the
-//! valid requests already buffered in the window.
-//!
-//! ```text
-//! monitor [--batch N] [--threads N] [--search MODE] [--budget N]
-//!         [--min-samples N] [--min-coverage N] [--z F]
-//!         [--persistence N] [--cooldown N]
-//!         [--snapshot-dir DIR] [--resume]
-//! ```
+//! valid requests already buffered in the window. `monitor --help`
+//! lists the flags without reading stdin.
 //!
 //! With `--resume`, requests the snapshot says were already processed
 //! are skipped, so re-piping the same stream after a crash continues
@@ -23,53 +17,25 @@ use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
 use csa_experiments::artifact::Stale;
-use csa_experiments::{budget_flag, search_flag, threads_flag, write_atomic, SearchConfig};
+use csa_experiments::cli::{self, Flag, Kind};
+use csa_experiments::write_atomic;
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
 use csa_monitor::snapshot;
 use csa_monitor::{MonitorConfig, MonitorEngine, Response};
 
-fn flag_u64(name: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-fn flag_f64(name: &str, default: f64) -> f64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs a number");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-fn flag_path(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs a path");
-                std::process::exit(2);
-            })));
-        }
-    }
-    None
-}
-
-fn flag_present(name: &str) -> bool {
-    std::env::args().any(|arg| arg == name)
-}
+const FLAGS: [Flag; 11] = [
+    Flag::int("--batch", 0, "requests per batch window"),
+    Flag::int("--min-samples", 0, "samples before the baseline locks"),
+    Flag::int("--min-coverage", 0, "cells before the baseline locks"),
+    Flag::new("--z", Kind::Float, "margin event at z <= -X"),
+    Flag::int("--persistence", 0, "triggers before a class fires"),
+    Flag::int("--cooldown", 0, "requests a fired class stays quiet"),
+    Flag::int("--drift-window", 0, "truncation-rate drift window"),
+    Flag::new("--drift-threshold", Kind::Float, "drift at rate rise >= X"),
+    Flag::int("--memo-tables", 0, "task-set memo tables kept warm"),
+    Flag::new("--snapshot-dir", Kind::Path, "snapshot after each batch"),
+    Flag::switch("--resume", "skip what the snapshot covers").requires("--snapshot-dir"),
+];
 
 /// Prints one response line per response plus one line per fired
 /// event, appending the event lines to `log`.
@@ -104,25 +70,30 @@ fn flush_window(engine: &mut MonitorEngine, snapshot_dir: Option<&Path>, log: &m
 }
 
 fn main() {
+    let args = cli::parse(&[&[cli::THREADS, cli::SEARCH, cli::BUDGET], &FLAGS]);
     let defaults = MonitorConfig::default();
     let config = MonitorConfig {
-        batch_window: flag_u64("--batch", defaults.batch_window as u64) as usize,
-        threads: threads_flag(),
-        search: SearchConfig::new(search_flag(), budget_flag()),
-        min_samples: flag_u64("--min-samples", defaults.min_samples),
-        min_coverage: flag_u64("--min-coverage", defaults.min_coverage as u64) as usize,
-        z_threshold: flag_f64("--z", defaults.z_threshold),
-        persistence: flag_u64("--persistence", defaults.persistence),
-        cooldown: flag_u64("--cooldown", defaults.cooldown),
-        drift_window: flag_u64("--drift-window", defaults.drift_window as u64) as usize,
-        drift_threshold: flag_f64("--drift-threshold", defaults.drift_threshold),
-        memo_tables: flag_u64("--memo-tables", defaults.memo_tables as u64) as usize,
+        batch_window: args.get("--batch").unwrap_or(defaults.batch_window),
+        threads: args.threads(),
+        search: args.search(),
+        min_samples: args.get("--min-samples").unwrap_or(defaults.min_samples),
+        min_coverage: args.get("--min-coverage").unwrap_or(defaults.min_coverage),
+        z_threshold: args.get("--z").unwrap_or(defaults.z_threshold),
+        persistence: args.get("--persistence").unwrap_or(defaults.persistence),
+        cooldown: args.get("--cooldown").unwrap_or(defaults.cooldown),
+        drift_window: args.get("--drift-window").unwrap_or(defaults.drift_window),
+        drift_threshold: args
+            .get("--drift-threshold")
+            .unwrap_or(defaults.drift_threshold),
+        memo_tables: args.get("--memo-tables").unwrap_or(defaults.memo_tables),
     };
-    let snapshot_dir = flag_path("--snapshot-dir");
-    let resume = flag_present("--resume");
+    let snapshot_dir: Option<PathBuf> = args.get("--snapshot-dir");
 
-    let mut engine = match (&snapshot_dir, resume) {
-        (Some(dir), true) => match snapshot::load(config.clone(), dir) {
+    // `--resume` requires `--snapshot-dir` (the flag table rejects it
+    // alone), so a resume always has a snapshot directory to read.
+    let mut engine = match snapshot_dir.as_deref().filter(|_| args.switch("--resume")) {
+        None => MonitorEngine::new(config),
+        Some(dir) => match snapshot::load(config.clone(), dir) {
             Ok(engine) => {
                 eprintln!(
                     "monitor: resumed at {} processed requests ({})",
@@ -137,7 +108,6 @@ fn main() {
                 MonitorEngine::new(config)
             }
         },
-        _ => MonitorEngine::new(config),
     };
 
     // With --resume the caller re-pipes the stream from the start;

@@ -1,39 +1,28 @@
 //! Seeded request-stream generator: prints the deterministic JSONL
 //! request stream that `monitor` consumes.
 //!
-//! ```text
-//! monitor_stream [--count N] [--seed N] [--profile NAME] [--n LIST]
-//! ```
-//!
-//! The stream addresses instances exactly like the census sweep
+//! `monitor_stream --help` lists the flags. The stream addresses instances exactly like the census sweep
 //! (`instance_seed(seed, n, index)` with per-`n` indices), so piping it
 //! into `monitor` replays the same benchmark instances a batch sweep at
 //! the same coordinates would assess.
 
-use csa_experiments::{profile_flag, task_counts_flag};
+use csa_experiments::cli::{self, Flag};
 use csa_monitor::jsonl::request_line;
 use csa_monitor::{generate_stream, StreamConfig};
 
-fn flag_u64(name: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor_stream: {name} needs an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
+const FLAGS: [Flag; 2] = [
+    Flag::int("--count", 0, "requests to generate (default: 200)"),
+    Flag::int("--seed", 0, "stream seed (default: 7)"),
+];
 
 fn main() {
+    let args = cli::parse(&[&[cli::PROFILE, cli::TASK_COUNTS], &FLAGS]);
     let defaults = StreamConfig::default();
     let config = StreamConfig {
-        count: flag_u64("--count", defaults.count as u64) as usize,
-        seed: flag_u64("--seed", defaults.seed),
-        task_counts: task_counts_flag().unwrap_or(defaults.task_counts),
-        profile: profile_flag(),
+        count: args.get("--count").unwrap_or(defaults.count),
+        seed: args.get("--seed").unwrap_or(defaults.seed),
+        task_counts: args.list("--n").unwrap_or(defaults.task_counts),
+        profile: args.profile(),
     };
     for request in generate_stream(&config) {
         println!("{}", request_line(&request));
