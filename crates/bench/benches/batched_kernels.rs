@@ -1,8 +1,8 @@
-//! Batched, warm-started control-kernel pipeline vs the scalar cold
-//! path (DESIGN.md §10): the same dc-servo log-period grid walked three
-//! ways — one-shot exact kernels per cell, the batched exact evaluator,
-//! and the batched fast evaluator (warm-started DAREs + Hessenberg
-//! margin sweep) — plus the LQG designer sweep in cold and warm modes.
+//! Batched control-kernel pipeline vs the scalar cold path (DESIGN.md
+//! §10): the same dc-servo log-period grid walked three ways — one-shot
+//! exact kernels per cell, the batched exact evaluator, and the batched
+//! fast evaluator (Hessenberg margin sweep) — plus the reusable LQG
+//! designer sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csa_control::{
@@ -40,14 +40,6 @@ fn bench_batched_kernels(c: &mut Criterion) {
     group.bench_function("lqg_sweep_8_cold", |b| {
         b.iter(|| {
             let mut designer = LqgDesigner::cold();
-            for &h in &grid {
-                black_box(designer.design(&bp.plant, &bp.weights, h, 0.0).unwrap());
-            }
-        })
-    });
-    group.bench_function("lqg_sweep_8_warm", |b| {
-        b.iter(|| {
-            let mut designer = LqgDesigner::warm_started();
             for &h in &grid {
                 black_box(designer.design(&bp.plant, &bp.weights, h, 0.0).unwrap());
             }

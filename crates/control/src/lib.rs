@@ -16,7 +16,7 @@
 //! * the jitter-margin analysis of Fig. 4: [`jitter_margin`],
 //!   [`stability_curve`], [`delay_margin`], and the paper's Eq. 5 linear
 //!   bound [`StabilityFit`];
-//! * the batched, warm-started kernel pipeline (DESIGN.md §10):
+//! * the batched kernel pipeline (DESIGN.md §10):
 //!   [`MarginScratch`], [`KernelMode`], [`StabilityCurveBatch`],
 //!   [`LqgDesigner`], the bit-frozen [`jitter_margin_exact`] /
 //!   [`stability_curve_exact`] entry points, and the retained

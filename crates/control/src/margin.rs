@@ -52,7 +52,7 @@
 //!   [`jitter_margin`]/[`stability_curve`] entry points and the Fig. 4
 //!   plots, and agrees with `Exact` to round-off.
 //!
-//! [`StabilityCurveBatch`] bundles a scratch with a warm-started LQG
+//! [`StabilityCurveBatch`] bundles a scratch with a reusable LQG
 //! designer to walk whole period grids per plant.
 
 use crate::c2d::{c2d_zoh_delayed, delay_split};
@@ -136,7 +136,7 @@ pub enum KernelMode {
     /// Pole/residue (partial-fraction) frequency sweeps in `O(n)` per
     /// point — verified per loop against the Hessenberg solve and falling
     /// back to the `O(n^2)`-per-point Hessenberg sweep whenever the fit
-    /// cannot be certified — plus warm-started DARE synthesis. Agrees
+    /// cannot be certified. Agrees
     /// with [`KernelMode::Exact`] to round-off (relative error ~1e-10 on
     /// the margins themselves); the nominal-stability pre-check is shared
     /// with the exact path, so a latency beyond the delay margin yields
@@ -658,17 +658,15 @@ pub fn stability_curve_exact(
 }
 
 /// Batched stability-curve evaluator: one LQG designer plus one
-/// [`MarginScratch`], reused across a whole period grid per plant.
-///
-/// In [`KernelMode::Fast`] the designer warm-starts each period's DAREs
-/// from the previous period's solutions (Kleinman policy iteration,
-/// falling back to the cold solver whenever the seed does not apply), so
-/// walking a log-period grid `h, h+δh, ...` amortizes both the Riccati
-/// solves and all workspace allocations. In [`KernelMode::Exact`] the
-/// designer stays cold and every produced float is bit-identical to the
-/// one-shot [`design_lqg`](crate::design_lqg) + [`stability_curve_exact`]
-/// pipeline — this is the kernel the persisted margin tables are built
-/// with.
+/// [`MarginScratch`], reused across a whole period grid per plant, so
+/// walking a log-period grid `h, h+δh, ...` amortizes all workspace
+/// allocations. The designer is the same in both kernel modes: every
+/// Riccati solve is bit-identical to the one-shot
+/// [`design_lqg`](crate::design_lqg). The modes differ only in the margin
+/// sweep: in [`KernelMode::Exact`] every produced float is bit-identical
+/// to the one-shot [`design_lqg`](crate::design_lqg) +
+/// [`stability_curve_exact`] pipeline — this is the kernel the persisted
+/// margin tables are built with.
 #[derive(Debug)]
 pub struct StabilityCurveBatch {
     designer: LqgDesigner,
@@ -679,12 +677,8 @@ pub struct StabilityCurveBatch {
 impl StabilityCurveBatch {
     /// Creates a batch evaluator in the given kernel mode.
     pub fn new(mode: KernelMode) -> Self {
-        let designer = match mode {
-            KernelMode::Exact => LqgDesigner::cold(),
-            KernelMode::Fast => LqgDesigner::warm_started(),
-        };
         StabilityCurveBatch {
-            designer,
+            designer: LqgDesigner::cold(),
             scratch: MarginScratch::new(),
             mode,
         }
@@ -693,14 +687,6 @@ impl StabilityCurveBatch {
     /// The kernel mode this evaluator runs on.
     pub fn mode(&self) -> KernelMode {
         self.mode
-    }
-
-    /// Drops any warm-start state. Call when switching to an unrelated
-    /// plant so a stale same-shaped seed is never consulted (a wrong seed
-    /// is still *correct* — the warm solver verifies and falls back — but
-    /// it wastes iterations).
-    pub fn reset(&mut self) {
-        self.designer.reset();
     }
 
     /// Designs the LQG controller for `(plant, weights, h, tau)` and
@@ -745,9 +731,7 @@ impl StabilityCurveBatch {
     }
 
     /// Walks an increasing period grid, producing one optional cell per
-    /// period (see [`StabilityCurveBatch::margin_cell`]). Warm-start state
-    /// is reset at the start of the walk, then flows from each period to
-    /// the next.
+    /// period (see [`StabilityCurveBatch::margin_cell`]).
     pub fn curve_grid(
         &mut self,
         plant: &StateSpace,
@@ -756,7 +740,6 @@ impl StabilityCurveBatch {
         tau: f64,
         points: usize,
     ) -> Vec<Option<(StabilityCurve, StabilityFit)>> {
-        self.reset();
         periods
             .iter()
             .map(|&h| self.margin_cell(plant, weights, h, tau, points))

@@ -1,18 +1,18 @@
-//! Differential pinning of the batched/warm-started control kernels
+//! Differential pinning of the batched control kernels
 //! against the retained one-shot references (DESIGN.md §10).
 //!
 //! Contract: everything reachable through [`csa_control::KernelMode::Exact`]
 //! — `design_lqg`, `jitter_margin_exact`, `delay_margin`,
 //! `stability_curve_exact`, and `StabilityCurveBatch` in exact mode — is
 //! *bit-identical* to `csa_control::reference`. The fast kernels
-//! (`jitter_margin`, `stability_curve`, warm-started `LqgDesigner`) are
-//! pinned by tolerance contracts instead: the Hessenberg sweep agrees to
-//! round-off and the warm Kleinman DAREs to ~1e-9 relative.
+//! (`jitter_margin`, `stability_curve`, `StabilityCurveBatch` in fast
+//! mode) are pinned by tolerance contracts instead: the Hessenberg sweep
+//! agrees to round-off.
 
 use csa_control::{
     delay_margin, design_lqg, jitter_margin, jitter_margin_exact, plants, reference,
-    stability_curve, stability_curve_exact, KernelMode, LqgDesigner, StabilityCurve,
-    StabilityCurveBatch, StabilityFit,
+    stability_curve, stability_curve_exact, KernelMode, StabilityCurve, StabilityCurveBatch,
+    StabilityFit,
 };
 use csa_linalg::Mat;
 
@@ -200,40 +200,6 @@ fn batch_exact_cells_bit_identical_to_one_shot_pipeline() {
                 ),
             }
         }
-    }
-}
-
-#[test]
-fn warm_designer_matches_cold_across_period_grid() {
-    let pool = plants::benchmark_pool().unwrap();
-    let bp = pool.iter().find(|p| p.name == "dc_servo").unwrap();
-    let grid = period_grid(bp.period_range, 8);
-    let mut warm = LqgDesigner::warm_started();
-    for (k, &h) in grid.iter().enumerate() {
-        let cold = design_lqg(&bp.plant, &bp.weights, h, 0.0).unwrap();
-        let got = warm.design(&bp.plant, &bp.weights, h, 0.0).unwrap();
-        if k == 0 {
-            // No seed yet: the warm designer takes the cold path and must
-            // reproduce it bit-for-bit.
-            assert_mat_bits_eq(&got.feedback_gain, &cold.feedback_gain, "first-call K");
-            assert_mat_bits_eq(&got.kalman_gain, &cold.kalman_gain, "first-call Kf");
-        }
-        let kscale = cold.feedback_gain.max_abs().max(1.0);
-        assert!(
-            got.feedback_gain.max_abs_diff(&cold.feedback_gain) <= 1e-7 * kscale,
-            "warm K drifted at h={h}: {}",
-            got.feedback_gain.max_abs_diff(&cold.feedback_gain) / kscale
-        );
-        let fscale = cold.kalman_gain.max_abs().max(1.0);
-        assert!(
-            got.kalman_gain.max_abs_diff(&cold.kalman_gain) <= 1e-7 * fscale,
-            "warm Kf drifted at h={h}"
-        );
-        let ascale = cold.controller.a().max_abs().max(1.0);
-        assert!(
-            got.controller.a().max_abs_diff(cold.controller.a()) <= 1e-6 * ascale,
-            "warm controller A drifted at h={h}"
-        );
     }
 }
 

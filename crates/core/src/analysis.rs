@@ -2,7 +2,7 @@
 
 use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
-use csa_rta::{ResponseBounds, RtaScratch};
+use csa_rta::{ResponseBounds, RtaScratch, TaskMask};
 // The verdict memo below is keyed lookup only — it is never iterated,
 // so its nondeterministic order cannot leak into results.
 use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
@@ -150,7 +150,7 @@ pub(crate) fn verdict_from(task: &ControlTask, rb: Option<ResponseBounds>) -> Ta
 ///
 /// One-shot convenience; repeated checks over the same task slice should
 /// go through a [`StabilityChecker`], which reuses its scratch buffers
-/// (and, for sets of up to 64 tasks, memoizes verdicts).
+/// and memoizes verdicts.
 pub fn check_task(tasks: &[ControlTask], i: usize, hp_idx: &[usize]) -> TaskVerdict {
     let mut scratch = RtaScratch::with_capacity(hp_idx.len());
     let rb = scratch.response_bounds(tasks[i].task(), hp_idx.iter().map(|&j| tasks[j].task()));
@@ -176,31 +176,10 @@ pub fn analyze(tasks: &[ControlTask], assignment: &PriorityAssignment) -> Vec<Ta
         .collect()
 }
 
-/// Largest task-set size for which [`StabilityChecker`] memoizes
-/// verdicts (the remaining-set bitmask must fit in a `u64`); larger sets
-/// still get the zero-allocation scratch path, just uncached.
-pub const MEMO_MAX_TASKS: usize = 64;
-
-/// Ascending iterator over set bit positions.
-pub(crate) struct BitIter(pub(crate) u64);
-
-impl Iterator for BitIter {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let i = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(i)
-    }
-}
-
 /// A detachable verdict-memo table for [`StabilityChecker`].
 ///
-/// Entries are keyed by `(candidate, higher-priority bitmask)` and are
+/// Entries are keyed by `(candidate, higher-priority set)` for sets held
+/// in one [`TaskMask`] word (task sets of up to 64 tasks), and are
 /// only meaningful for the **exact** task slice they were computed on:
 /// seating a table under a different set silently corrupts verdicts, so
 /// long-lived callers (e.g. the `csa-monitor` service) must key stored
@@ -233,17 +212,21 @@ impl VerdictMemo {
 }
 
 /// A reusable, optionally memoizing stability-check engine over one task
-/// slice — the workhorse behind every assignment algorithm.
+/// slice — the workhorse behind every assignment algorithm, at every
+/// task count.
 ///
-/// * **Zero-allocation**: response-time fixed points run on an internal
-///   [`RtaScratch`], so a check performs no heap allocation once the
-///   buffers are warm.
-/// * **Memoized**: for sets of up to [`MEMO_MAX_TASKS`] tasks, verdicts
-///   are cached under the key `(candidate, higher-priority bitmask)`.
-///   A backtracking search that revisits the same `(task, remaining
-///   set)` state never recomputes the fixed points; the checker tracks
-///   both the *logical* number of checks requested and the *computed*
-///   number that actually ran.
+/// * **Zero-allocation**: higher-priority sets are [`TaskMask`]s the
+///   callers mutate in place, and response-time fixed points run on an
+///   internal [`RtaScratch`], so a check performs no heap allocation
+///   once the buffers are warm.
+/// * **Memoized**: verdicts are cached under the key `(candidate,
+///   higher-priority set)` whenever the set fits one mask word (task
+///   sets of up to 64 tasks). A backtracking search that revisits the
+///   same `(task, remaining set)` state never recomputes the fixed
+///   points. Wider sets are computed on every check, so the memo key
+///   stays two machine words. Either way the checker counts both the
+///   *logical* number of checks requested and the *computed* number
+///   that actually ran.
 ///
 /// # Examples
 ///
@@ -270,23 +253,16 @@ pub struct StabilityChecker<'a> {
     scratch: RtaScratch,
     // csa-lint: allow(D001) probed by key only, never iterated
     memo: Option<HashMap<(u32, u64), TaskVerdict, FxBuildHasher>>,
+    // Reused by `check`/`check_assigned` to turn an index set into a mask.
+    hp: TaskMask,
     logical: u64,
     computed: u64,
 }
 
 impl<'a> StabilityChecker<'a> {
-    /// Creates a checker over `tasks`, memoized when the set has at most
-    /// [`MEMO_MAX_TASKS`] tasks.
+    /// Creates a memoizing checker over `tasks`.
     pub fn new(tasks: &'a [ControlTask]) -> StabilityChecker<'a> {
-        // csa-lint: allow(D001) probed by key only, never iterated
-        let memo = (tasks.len() <= MEMO_MAX_TASKS).then(HashMap::default);
-        StabilityChecker {
-            tasks,
-            scratch: RtaScratch::with_capacity(tasks.len()),
-            memo,
-            logical: 0,
-            computed: 0,
-        }
+        StabilityChecker::with_memo(tasks, VerdictMemo::new())
     }
 
     /// Creates a checker over `tasks` seated on an existing
@@ -298,22 +274,10 @@ impl<'a> StabilityChecker<'a> {
     /// error that silently corrupts verdicts (the table is trusted, not
     /// revalidated); callers owning cross-request tables must verify
     /// task-set equality before seating one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks — such
-    /// sets cannot key the bitmask memo; use [`Self::new`].
     pub fn with_memo(tasks: &'a [ControlTask], memo: VerdictMemo) -> StabilityChecker<'a> {
-        assert!(
-            tasks.len() <= MEMO_MAX_TASKS,
-            "memo sharing requires a set of at most {MEMO_MAX_TASKS} tasks"
-        );
         StabilityChecker {
-            tasks,
-            scratch: RtaScratch::with_capacity(tasks.len()),
             memo: Some(memo.map),
-            logical: 0,
-            computed: 0,
+            ..StabilityChecker::uncached(tasks)
         }
     }
 
@@ -332,6 +296,7 @@ impl<'a> StabilityChecker<'a> {
             tasks,
             scratch: RtaScratch::with_capacity(tasks.len()),
             memo: None,
+            hp: TaskMask::default(),
             logical: 0,
             computed: 0,
         }
@@ -352,68 +317,47 @@ impl<'a> StabilityChecker<'a> {
         self.tasks.is_empty()
     }
 
-    /// `true` when verdicts are being memoized (set fits in the bitmask).
-    pub fn memoized(&self) -> bool {
-        self.memo.is_some()
-    }
-
-    /// Bitmask selecting every task of the set (for [`Self::check_mask`]
-    /// callers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks.
-    pub fn full_mask(&self) -> u64 {
-        let n = self.tasks.len();
-        assert!(
-            n <= MEMO_MAX_TASKS,
-            "bitmasks require a set of at most {MEMO_MAX_TASKS} tasks"
-        );
-        if n == 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
+    /// The set of every task (the starting point for [`Self::check_mask`]
+    /// callers, who then edit it in place).
+    pub fn full_mask(&self) -> TaskMask {
+        TaskMask::full(self.tasks.len())
     }
 
     /// Checks task `i` against the higher-priority index set `hp_idx`
-    /// (set semantics: order and duplicates are irrelevant to the
-    /// verdict; duplicates would corrupt the memo key, so pass sets).
+    /// (set semantics: order, duplicates and `i` itself are irrelevant to
+    /// the verdict).
     pub fn check(&mut self, i: usize, hp_idx: &[usize]) -> TaskVerdict {
-        if self.memo.is_some() {
-            let mask = hp_idx.iter().fold(0u64, |m, &j| m | (1u64 << j));
-            self.check_mask(i, mask)
-        } else {
-            self.logical += 1;
-            self.computed += 1;
-            let tasks = self.tasks;
-            let rb = self
-                .scratch
-                .response_bounds(tasks[i].task(), hp_idx.iter().map(|&j| tasks[j].task()));
-            verdict_from(&tasks[i], rb)
-        }
+        self.check_set(i, hp_idx.iter().copied())
     }
 
-    /// Checks task `i` against the higher-priority set given as a
-    /// bitmask over task indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks (bitmask
-    /// checks are only available on memo-capable sets) or if the mask
-    /// selects bit `i` itself.
-    pub fn check_mask(&mut self, i: usize, hp_mask: u64) -> TaskVerdict {
-        assert!(
-            self.tasks.len() <= MEMO_MAX_TASKS,
-            "bitmask checks require a set of at most {MEMO_MAX_TASKS} tasks"
-        );
-        assert!(
-            hp_mask & (1u64 << i) == 0,
-            "task {i} cannot be in its own higher-priority set"
-        );
+    /// Checks task `i` under a complete assignment: against every task
+    /// the assignment places above it.
+    pub fn check_assigned(&mut self, i: usize, assignment: &PriorityAssignment) -> TaskVerdict {
+        self.check_set(i, assignment.hp_iter(i))
+    }
+
+    /// Checks task `i` against the index set `hp`, gathered into the
+    /// checker's reusable mask.
+    fn check_set(&mut self, i: usize, hp: impl Iterator<Item = usize>) -> TaskVerdict {
+        let mut mask = std::mem::take(&mut self.hp);
+        mask.reset(self.tasks.len());
+        for j in hp {
+            mask.insert(j);
+        }
+        let v = self.check_mask(i, &mask);
+        self.hp = mask;
+        v
+    }
+
+    /// Checks task `i` against the higher-priority set `hp` (a mask over
+    /// this checker's task indices). `i`'s own bit is ignored, so a
+    /// search can check a candidate against the set it belongs to — the
+    /// remaining set at the lowest open level — without editing it.
+    pub fn check_mask(&mut self, i: usize, hp: &TaskMask) -> TaskVerdict {
         self.logical += 1;
-        let key = (i as u32, hp_mask);
-        if let Some(memo) = self.memo.as_ref() {
+        let own_bit = 1u64.checked_shl(i as u32).unwrap_or(0);
+        let key = hp.single_word().map(|word| (i as u32, word & !own_bit));
+        if let (Some(memo), Some(key)) = (self.memo.as_ref(), key) {
             if let Some(&v) = memo.get(&key) {
                 return v;
             }
@@ -422,9 +366,9 @@ impl<'a> StabilityChecker<'a> {
         let tasks = self.tasks;
         let rb = self
             .scratch
-            .response_bounds(tasks[i].task(), BitIter(hp_mask).map(|j| tasks[j].task()));
+            .response_bounds(tasks[i].task(), hp.iter_except(i).map(|j| tasks[j].task()));
         let v = verdict_from(&tasks[i], rb);
-        if let Some(memo) = self.memo.as_mut() {
+        if let (Some(memo), Some(key)) = (self.memo.as_mut(), key) {
             memo.insert(key, v);
         }
         v
@@ -561,12 +505,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "memo sharing requires")]
-    fn memo_sharing_rejects_wide_sets() {
+    fn wide_sets_are_checked_and_counted_but_not_memoized() {
         let tasks: Vec<ControlTask> = (0..65)
             .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
             .collect();
-        let _ = StabilityChecker::with_memo(&tasks, VerdictMemo::new());
+        let mut checker = StabilityChecker::with_memo(&tasks, VerdictMemo::new());
+        let first = checker.check_mask(64, &checker.full_mask());
+        let again = checker.check(64, &(0..64).collect::<Vec<_>>());
+        assert_eq!(first, again);
+        assert_eq!(checker.logical_checks(), 2);
+        assert_eq!(checker.computed_checks(), 2);
+        assert!(checker.into_memo().is_empty());
     }
 
     #[test]

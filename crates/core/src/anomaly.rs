@@ -18,7 +18,7 @@
 
 use crate::analysis::{check_task, PriorityAssignment, StabilityChecker, TaskVerdict};
 use crate::stability::ControlTask;
-use csa_rta::Ticks;
+use csa_rta::{TaskMask, Ticks};
 
 /// A certified anomaly witness: the same task is stable in the `before`
 /// configuration and unstable in the `after` configuration, although
@@ -103,18 +103,25 @@ pub fn find_interference_removal_anomaly_on(
     checker: &mut StabilityChecker<'_>,
     assignment: &PriorityAssignment,
 ) -> Option<AnomalyWitness> {
+    // One mask, edited in place: task i's higher-priority set, minus the
+    // one removal being probed.
+    let mut hp = TaskMask::empty(checker.len());
     for i in 0..checker.len() {
-        let hp = assignment.hp_indices(i);
-        if hp.is_empty() {
+        if assignment.hp_iter(i).next().is_none() {
             continue;
         }
-        let before = checker.check(i, &hp);
+        hp.reset(checker.len());
+        for j in assignment.hp_iter(i) {
+            hp.insert(j);
+        }
+        let before = checker.check_mask(i, &hp);
         if !before.stable {
             continue;
         }
-        for &j in &hp {
-            let reduced: Vec<usize> = hp.iter().copied().filter(|&x| x != j).collect();
-            let after = checker.check(i, &reduced);
+        for j in assignment.hp_iter(i) {
+            hp.remove(j);
+            let after = checker.check_mask(i, &hp);
+            hp.insert(j);
             if !after.stable {
                 return Some(AnomalyWitness {
                     task: i,
@@ -153,15 +160,19 @@ pub fn find_priority_raise_anomaly_on(
 ) -> Option<AnomalyWitness> {
     let order = assignment.highest_first();
     // Walk pairs (above, below) from the top; promoting `below` swaps it
-    // with `above`.
+    // with `above`, i.e. drops `above` from its higher-priority set.
+    // `hp` grows down the order: it holds every task above `below`.
+    let mut hp = TaskMask::empty(checker.len());
     for w in order.windows(2) {
         let (above, below) = (w[0], w[1]);
-        let before = checker.check(below, &assignment.hp_indices(below));
+        hp.insert(above);
+        let before = checker.check_mask(below, &hp);
         if !before.stable {
             continue;
         }
-        let promoted = assignment.with_swapped(above, below);
-        let after = checker.check(below, &promoted.hp_indices(below));
+        hp.remove(above);
+        let after = checker.check_mask(below, &hp);
+        hp.insert(above);
         if !after.stable {
             return Some(AnomalyWitness {
                 task: below,

@@ -21,11 +21,13 @@
 //!
 //! # Execution engine
 //!
-//! All four run on a [`StabilityChecker`]: response-time fixed points on
-//! a reusable scratch (zero heap allocation per check) and, for sets of
-//! up to [`MEMO_MAX_TASKS`](crate::MEMO_MAX_TASKS) tasks, a memo table
-//! keyed by `(candidate, remaining-set bitmask)` so a stability check
-//! revisited across backtracks is never recomputed. The memo changes
+//! All four run on a [`StabilityChecker`] at every task count: one
+//! [`TaskMask`] per search, mutated in place, names each higher-priority
+//! set; response-time fixed points run on a reusable scratch (zero heap
+//! allocation per check); and a memo table keyed by `(candidate,
+//! remaining set)` means a stability check revisited across backtracks is
+//! never recomputed (for sets of up to 64 tasks, whose masks are one
+//! word). The memo changes
 //! *nothing observable* except wall-clock time and
 //! [`AssignmentStats::cache_hits`]: [`AssignmentStats::checks`] keeps
 //! counting *logical* checks exactly as the unmemoized search would (the
@@ -34,8 +36,9 @@
 //! implementations — a property the `csa-core` test suite enforces on
 //! random task sets.
 
-use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker, MEMO_MAX_TASKS};
+use crate::analysis::{check_task, PriorityAssignment, StabilityChecker, TaskVerdict};
 use crate::stability::ControlTask;
+use csa_rta::TaskMask;
 
 /// Instrumentation counters for an assignment run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,7 +52,7 @@ pub struct AssignmentStats {
     pub backtracks: u64,
     /// Logical checks answered from the memo table instead of rerunning
     /// the response-time fixed points (0 for the [`mod@reference`]
-    /// implementations and for sets too large to memoize).
+    /// implementations and for sets wider than one mask word).
     pub cache_hits: u64,
     /// Whether the search was cut short by a check budget before it
     /// could decide. A truncated run returning no assignment means
@@ -105,7 +108,7 @@ fn slack_admits(slack: f64) -> bool {
 /// broken by index). Shared by [`unsafe_quadratic`], its reference
 /// twin, and the portfolio's verified Seed B so the three can never
 /// drift apart.
-pub(crate) fn criticality_order(verdicts: &[crate::analysis::TaskVerdict]) -> Vec<usize> {
+pub(crate) fn criticality_order(verdicts: &[TaskVerdict]) -> Vec<usize> {
     let mut bottom_up: Vec<usize> = (0..verdicts.len()).collect();
     bottom_up.sort_by(|&x, &y| {
         verdicts[y]
@@ -183,11 +186,6 @@ pub fn backtracking_with_budget(
     order: CandidateOrder,
     max_checks: u64,
 ) -> (AssignmentOutcome, bool) {
-    if tasks.len() > MEMO_MAX_TASKS {
-        // The remaining-set bitmask no longer fits: run the uncached
-        // reference search (identical semantics, per-check allocation).
-        return reference::backtracking_with_budget(tasks, order, max_checks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     backtracking_on_checker(&mut checker, order, max_checks)
 }
@@ -198,22 +196,15 @@ pub fn backtracking_with_budget(
 /// count only this run's checks; `cache_hits` is the delta accrued
 /// here, so sharing a checker changes nothing observable but wall-clock
 /// time and hit counts.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through
-/// [`backtracking_with_budget`], which falls back to the reference
-/// search.
 pub fn backtracking_on_checker(
     checker: &mut StabilityChecker<'_>,
     order: CandidateOrder,
     max_checks: u64,
 ) -> (AssignmentOutcome, bool) {
     let n = checker.len();
-    let full = checker.full_mask();
     let hits_before = checker.cache_hits();
     let mut search = BacktrackSearch {
+        remaining_mask: checker.full_mask(),
         checker,
         order,
         remaining: (0..n).collect(),
@@ -222,7 +213,7 @@ pub fn backtracking_on_checker(
         max_checks,
         truncated: false,
     };
-    let found = search.recurse(full);
+    let found = search.recurse();
     let BacktrackSearch {
         checker,
         bottom_up,
@@ -243,14 +234,19 @@ pub fn backtracking_on_checker(
 
 /// State of one memoized backtracking run (Algorithm 1).
 ///
-/// `remaining` mirrors the remaining-set bitmask as a vector mutated
-/// exactly like the reference implementation's (swap-remove on descend,
-/// push on backtrack) because the [`CandidateOrder::MaxSlackFirst`]
-/// stable sort breaks slack ties by that vector's incidental order — and
-/// the memoized search must replay the reference search bit for bit.
+/// `remaining_mask` is the set of still-unassigned tasks, edited in
+/// place on every descent and backtrack; each candidate is checked
+/// against it directly (the checker ignores the candidate's own bit).
+/// `remaining` mirrors it as a
+/// vector mutated exactly like the reference implementation's
+/// (swap-remove on descend, push on backtrack) because the
+/// [`CandidateOrder::MaxSlackFirst`] stable sort breaks slack ties by
+/// that vector's incidental order — and the memoized search must replay
+/// the reference search bit for bit.
 struct BacktrackSearch<'c, 'a> {
     checker: &'c mut StabilityChecker<'a>,
     order: CandidateOrder,
+    remaining_mask: TaskMask,
     remaining: Vec<usize>,
     bottom_up: Vec<usize>,
     stats: AssignmentStats,
@@ -259,8 +255,8 @@ struct BacktrackSearch<'c, 'a> {
 }
 
 impl BacktrackSearch<'_, '_> {
-    fn recurse(&mut self, remaining_mask: u64) -> bool {
-        if remaining_mask == 0 {
+    fn recurse(&mut self) -> bool {
+        if self.remaining.is_empty() {
             return true;
         }
         if self.stats.checks >= self.max_checks {
@@ -269,20 +265,20 @@ impl BacktrackSearch<'_, '_> {
         }
         match self.order {
             CandidateOrder::Input => {
-                // Ascending bit order == the reference's sorted clone of
-                // the remaining set, without the clone.
-                for cand in BitIter(remaining_mask) {
+                // Ascending index order == the reference's sorted clone
+                // of the remaining set, without the clone. A failed
+                // descent restores the mask, so the set scanned here is
+                // the same at every step.
+                let mut next = self.remaining_mask.next_from(0);
+                while let Some(cand) = next {
+                    next = self.remaining_mask.next_from(cand + 1);
                     if self.stats.checks >= self.max_checks {
                         self.truncated = true;
                         return false;
                     }
                     self.stats.checks += 1;
-                    let stable = self
-                        .checker
-                        .check_mask(cand, remaining_mask & !(1u64 << cand))
-                        .stable;
-                    if stable {
-                        if self.descend(remaining_mask, cand) {
+                    if self.checker.check_mask(cand, &self.remaining_mask).stable {
+                        if self.descend(cand) {
                             return true;
                         }
                         if self.truncated {
@@ -296,10 +292,7 @@ impl BacktrackSearch<'_, '_> {
                 for idx in 0..self.remaining.len() {
                     let cand = self.remaining[idx];
                     self.stats.checks += 1;
-                    let slack = self
-                        .checker
-                        .check_mask(cand, remaining_mask & !(1u64 << cand))
-                        .slack;
+                    let slack = self.checker.check_mask(cand, &self.remaining_mask).slack;
                     scored.push((slack, cand));
                 }
                 order_by_slack_desc(&mut scored);
@@ -312,7 +305,7 @@ impl BacktrackSearch<'_, '_> {
                         self.truncated = true;
                         return false;
                     }
-                    if self.descend(remaining_mask, cand) {
+                    if self.descend(cand) {
                         return true;
                     }
                     if self.truncated {
@@ -326,15 +319,16 @@ impl BacktrackSearch<'_, '_> {
 
     /// Commits `cand` to the lowest open level and recurses; on failure
     /// (not truncation) restores state and counts the backtrack.
-    fn descend(&mut self, remaining_mask: u64, cand: usize) -> bool {
+    fn descend(&mut self, cand: usize) -> bool {
         let pos = self
             .remaining
             .iter()
             .position(|&x| x == cand)
             .expect("candidate must be in the remaining set");
         self.remaining.swap_remove(pos);
+        self.remaining_mask.remove(cand);
         self.bottom_up.push(cand);
-        if self.recurse(remaining_mask & !(1u64 << cand)) {
+        if self.recurse() {
             return true;
         }
         if self.truncated {
@@ -342,6 +336,7 @@ impl BacktrackSearch<'_, '_> {
         }
         self.stats.backtracks += 1;
         self.bottom_up.pop();
+        self.remaining_mask.insert(cand);
         self.remaining.push(cand);
         false
     }
@@ -375,9 +370,6 @@ impl BacktrackSearch<'_, '_> {
 /// [`crate::is_valid_assignment`]; Table I counts how often verification
 /// fails.
 pub fn unsafe_quadratic(tasks: &[ControlTask]) -> AssignmentOutcome {
-    if tasks.len() > MEMO_MAX_TASKS {
-        return reference::unsafe_quadratic(tasks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     unsafe_quadratic_on(&mut checker)
 }
@@ -385,22 +377,16 @@ pub fn unsafe_quadratic(tasks: &[ControlTask]) -> AssignmentOutcome {
 /// [`unsafe_quadratic`] over an existing checker (see
 /// [`backtracking_on_checker`] for the sharing contract): identical
 /// outcome, with `cache_hits` the delta accrued here.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through [`unsafe_quadratic`],
-/// which falls back to the reference implementation.
 pub fn unsafe_quadratic_on(checker: &mut StabilityChecker<'_>) -> AssignmentOutcome {
     let n = checker.len();
     let hits_before = checker.cache_hits();
-    let full = checker.full_mask();
+    let mut hp = checker.full_mask();
     let mut stats = AssignmentStats::default();
     // Step 1: worst-case analysis of every task.
     let verdicts: Vec<_> = (0..n)
         .map(|i| {
             stats.checks += 1;
-            checker.check_mask(i, full & !(1u64 << i))
+            checker.check_mask(i, &hp)
         })
         .collect();
     // Step 2: sort by slack, largest slack to the bottom.
@@ -416,19 +402,16 @@ pub fn unsafe_quadratic_on(checker: &mut StabilityChecker<'_>) -> AssignmentOutc
         };
     }
     let assignment = PriorityAssignment::from_lowest_first(&bottom_up);
-    // Final higher-priority mask of each task: everything placed above it.
-    let mut hp_of = [0u64; MEMO_MAX_TASKS];
-    let mut mask_above = 0u64;
-    for &i in bottom_up.iter().rev() {
-        hp_of[i] = mask_above;
-        mask_above |= 1u64 << i;
-    }
     // Step 3 continued: re-verify only the promoted-because-critical
-    // tasks; the rest keep their (anomaly-prone) certificates.
+    // tasks; the rest keep their (anomaly-prone) certificates. Walking
+    // bottom-up and dropping each task from `hp` as it is reached leaves
+    // `hp` holding exactly the tasks placed above it.
+    hp.remove(bottom_up[0]);
     for &i in &bottom_up[1..] {
+        hp.remove(i);
         if !verdicts[i].stable {
             stats.checks += 1;
-            if !checker.check_mask(i, hp_of[i]).stable {
+            if !checker.check_mask(i, &hp).stable {
                 stats.cache_hits = checker.cache_hits() - hits_before;
                 return AssignmentOutcome {
                     assignment: None,
@@ -467,9 +450,6 @@ pub fn audsley_opa_with_budget(
     tasks: &[ControlTask],
     max_checks: u64,
 ) -> (AssignmentOutcome, bool) {
-    if tasks.len() > MEMO_MAX_TASKS {
-        return reference::audsley_opa_with_budget(tasks, max_checks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     opa_on_checker(&mut checker, max_checks)
 }
@@ -479,13 +459,6 @@ pub fn audsley_opa_with_budget(
 /// run gave up mid-level for lack of budget, not because a level was
 /// unfillable — its `None` means "unknown", exactly like a truncated
 /// backtracking run's.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through
-/// [`audsley_opa_with_budget`], which falls back to the reference
-/// search.
 pub fn opa_on_checker(
     checker: &mut StabilityChecker<'_>,
     max_checks: u64,
@@ -514,10 +487,7 @@ pub fn opa_on_checker(
                 return give_up(checker, stats, true);
             }
             stats.checks += 1;
-            if checker
-                .check_mask(cand, remaining_mask & !(1u64 << cand))
-                .stable
-            {
+            if checker.check_mask(cand, &remaining_mask).stable {
                 committed = Some(cand);
                 break;
             }
@@ -525,7 +495,7 @@ pub fn opa_on_checker(
         match committed {
             Some(cand) => {
                 remaining.retain(|&x| x != cand);
-                remaining_mask &= !(1u64 << cand);
+                remaining_mask.remove(cand);
                 bottom_up.push(cand);
             }
             None => return give_up(checker, stats, false),
@@ -562,7 +532,8 @@ pub fn exhaustive(tasks: &[ControlTask]) -> AssignmentOutcome {
     let mut checker = StabilityChecker::new(tasks);
     let mut stats = AssignmentStats::default();
     let mut perm: Vec<usize> = Vec::with_capacity(n);
-    let found = exhaustive_recurse(&mut checker, &mut perm, 0, &mut stats);
+    let mut prefix = TaskMask::empty(n);
+    let found = exhaustive_recurse(&mut checker, &mut perm, &mut prefix, &mut stats);
     stats.cache_hits = checker.cache_hits();
     AssignmentOutcome {
         assignment: found.map(|order| PriorityAssignment::from_highest_first(&order)),
@@ -572,12 +543,12 @@ pub fn exhaustive(tasks: &[ControlTask]) -> AssignmentOutcome {
 
 /// Builds permutations highest-priority-first. A placed task's verdict
 /// depends only on the set of tasks *above* it — exactly the prefix,
-/// tracked as `prefix_mask` — so the check is final, pruning is exact,
-/// and permutations sharing a prefix set share memoized verdicts.
+/// tracked as `prefix` — so the check is final, pruning is exact, and
+/// permutations sharing a prefix set share memoized verdicts.
 fn exhaustive_recurse(
     checker: &mut StabilityChecker<'_>,
     perm: &mut Vec<usize>,
-    prefix_mask: u64,
+    prefix: &mut TaskMask,
     stats: &mut AssignmentStats,
 ) -> Option<Vec<usize>> {
     let n = checker.len();
@@ -585,19 +556,19 @@ fn exhaustive_recurse(
         return Some(perm.clone());
     }
     for cand in 0..n {
-        if prefix_mask & (1u64 << cand) != 0 {
+        if prefix.contains(cand) {
             continue;
         }
         // The candidate occupies the next-lower level; its higher-priority
         // set is exactly the current prefix — a final verdict.
         stats.checks += 1;
-        if checker.check_mask(cand, prefix_mask).stable {
+        if checker.check_mask(cand, prefix).stable {
             perm.push(cand);
-            if let Some(found) =
-                exhaustive_recurse(checker, perm, prefix_mask | (1u64 << cand), stats)
-            {
+            prefix.insert(cand);
+            if let Some(found) = exhaustive_recurse(checker, perm, prefix, stats) {
                 return Some(found);
             }
+            prefix.remove(cand);
             perm.pop();
         }
     }
@@ -615,40 +586,39 @@ fn exhaustive_recurse(
 pub fn count_valid_assignments(tasks: &[ControlTask]) -> u64 {
     let n = tasks.len();
     assert!(n <= EXHAUSTIVE_MAX_TASKS);
-    fn recurse(checker: &mut StabilityChecker<'_>, placed: usize, prefix_mask: u64) -> u64 {
+    fn recurse(checker: &mut StabilityChecker<'_>, placed: usize, prefix: &mut TaskMask) -> u64 {
         let n = checker.len();
         if placed == n {
             return 1;
         }
         let mut total = 0;
         for cand in 0..n {
-            if prefix_mask & (1u64 << cand) != 0 {
+            if prefix.contains(cand) {
                 continue;
             }
-            if checker.check_mask(cand, prefix_mask).stable {
-                total += recurse(checker, placed + 1, prefix_mask | (1u64 << cand));
+            if checker.check_mask(cand, prefix).stable {
+                prefix.insert(cand);
+                total += recurse(checker, placed + 1, prefix);
+                prefix.remove(cand);
             }
         }
         total
     }
-    recurse(&mut StabilityChecker::new(tasks), 0, 0)
+    recurse(
+        &mut StabilityChecker::new(tasks),
+        0,
+        &mut TaskMask::empty(n),
+    )
 }
 
 pub mod reference {
     //! Unmemoized reference implementations of the assignment
-    //! algorithms — the pre-optimization code paths, retained verbatim.
-    //!
-    //! Two jobs:
-    //!
-    //! 1. **Differential testing.** The memoized, zero-allocation
-    //!    searches in the parent module must return bit-identical
-    //!    results (assignment, feasibility, logical check and backtrack
-    //!    counts) to these; the `csa-core` property tests assert it on
-    //!    random task sets.
-    //! 2. **Large-set fallback.** Sets beyond
-    //!    [`MEMO_MAX_TASKS`](crate::MEMO_MAX_TASKS) tasks cannot key a
-    //!    64-bit remaining-set bitmask; the parent entry points delegate
-    //!    here.
+    //! algorithms — the pre-optimization code paths, retained verbatim
+    //! as test oracles. The memoized, zero-allocation searches in the
+    //! parent module must return bit-identical results (assignment,
+    //! feasibility, logical check and backtrack counts) to these at
+    //! every task count; the `csa-core` property tests assert it on
+    //! random task sets. No production path calls them.
     //!
     //! Every function matches its parent-module namesake's contract;
     //! [`AssignmentStats::cache_hits`] is always 0 here.

@@ -54,7 +54,7 @@ mod stability;
 
 pub use analysis::{
     analyze, check_task, is_valid_assignment, PriorityAssignment, StabilityChecker, TaskVerdict,
-    VerdictMemo, MEMO_MAX_TASKS,
+    VerdictMemo,
 };
 pub use anomaly::{
     find_interference_removal_anomaly, find_interference_removal_anomaly_on,
@@ -62,6 +62,13 @@ pub use anomaly::{
     find_wcet_decrease_anomaly, verify_witness, AnomalyKind, AnomalyWitness,
 };
 pub use assignment::reference;
+
+/// Largest task count whose higher-priority sets fit one
+/// [`csa_rta::TaskMask`] word, i.e. the sets whose verdicts
+/// [`StabilityChecker`] memoizes. Retained for source compatibility:
+/// every search runs the same checker path at any task count, and
+/// nothing in the workspace branches on this value.
+pub const MEMO_MAX_TASKS: usize = csa_rta::TaskMask::WORD_BITS;
 pub use assignment::{
     audsley_opa, audsley_opa_with_budget, backtracking, backtracking_on_checker,
     backtracking_with_budget, backtracking_with_order, count_valid_assignments, exhaustive,

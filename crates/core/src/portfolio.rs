@@ -31,10 +31,9 @@
 //! valid. Feasibility verdicts are decisive only from an un-truncated
 //! restart stage; see [`PortfolioOutcome`] for the truncation contract.
 
-use crate::analysis::{PriorityAssignment, StabilityChecker, TaskVerdict, MEMO_MAX_TASKS};
+use crate::analysis::{PriorityAssignment, StabilityChecker, TaskVerdict};
 use crate::assignment::{
-    backtracking_on_checker, criticality_order, opa_on_checker, reference, AssignmentStats,
-    CandidateOrder,
+    backtracking_on_checker, criticality_order, opa_on_checker, AssignmentStats, CandidateOrder,
 };
 use crate::stability::ControlTask;
 
@@ -181,11 +180,6 @@ pub fn portfolio(tasks: &[ControlTask]) -> PortfolioOutcome {
 /// slop of the underlying budgeted search — so the total spend is
 /// `< max_checks + n`.
 ///
-/// Sets wider than [`MEMO_MAX_TASKS`] cannot key the bitmask memo; they
-/// fall back to a single budgeted input-order reference backtracking
-/// run (reported as an [`InputRestart`](PortfolioStage::InputRestart)
-/// stage), keeping the truncation contract intact.
-///
 /// # Examples
 ///
 /// A tiny budget cannot decide a 3-task set and must say so honestly:
@@ -206,24 +200,6 @@ pub fn portfolio(tasks: &[ControlTask]) -> PortfolioOutcome {
 /// # }
 /// ```
 pub fn portfolio_with_budget(tasks: &[ControlTask], max_checks: u64) -> PortfolioOutcome {
-    let n = tasks.len();
-    if n > MEMO_MAX_TASKS {
-        let (outcome, truncated) =
-            reference::backtracking_with_budget(tasks, CandidateOrder::Input, max_checks);
-        let won = outcome.assignment.is_some();
-        return PortfolioOutcome {
-            assignment: outcome.assignment,
-            winner: won.then_some(PortfolioStage::InputRestart),
-            stages: vec![StageReport {
-                stage: PortfolioStage::InputRestart,
-                checks: outcome.stats.checks,
-                cache_hits: 0,
-                truncated,
-            }],
-            stats: outcome.stats,
-        };
-    }
-
     let mut checker = StabilityChecker::new(tasks);
     portfolio_on_checker(&mut checker, max_checks)
 }
@@ -234,22 +210,11 @@ pub fn portfolio_with_budget(tasks: &[ControlTask], max_checks: u64) -> Portfoli
 /// requests). The outcome is identical to a fresh-checker run on the
 /// same slice: memo warmth changes only `cache_hits`, never verdicts,
 /// logical check counts, or the truncation point.
-///
-/// # Panics
-///
-/// Panics if the checker's set has more than [`MEMO_MAX_TASKS`] tasks
-/// (wide sets cannot share the bitmask memo; use
-/// [`portfolio_with_budget`], which falls back to the reference
-/// search).
 pub fn portfolio_on_checker(
     checker: &mut StabilityChecker<'_>,
     max_checks: u64,
 ) -> PortfolioOutcome {
     let n = checker.len();
-    assert!(
-        n <= MEMO_MAX_TASKS,
-        "memo sharing requires a set of at most {MEMO_MAX_TASKS} tasks"
-    );
     let mut run = PortfolioRun {
         checker,
         remaining: max_checks,
@@ -380,12 +345,9 @@ fn try_seed_orders(run: &mut PortfolioRun<'_, '_>) -> Option<PriorityAssignment>
             // monotonicity certificates the baseline trusts (and
             // anomalies break) are never trusted here.
             if spent_within(run.remaining, &mut spent, n as u64) {
-                let verdicts: Vec<TaskVerdict> = (0..n)
-                    .map(|i| {
-                        let full_but_i = run.checker.full_mask() & !(1u64 << i);
-                        run.checker.check_mask(i, full_but_i)
-                    })
-                    .collect();
+                let full = run.checker.full_mask();
+                let verdicts: Vec<TaskVerdict> =
+                    (0..n).map(|i| run.checker.check_mask(i, &full)).collect();
                 let by_slack = criticality_order(&verdicts);
                 match validate_order(run, &by_slack, &mut spent) {
                     SeedVerdict::Valid => {
@@ -428,13 +390,13 @@ fn validate_order(
     bottom_up: &[usize],
     spent: &mut u64,
 ) -> SeedVerdict {
-    let mut hp_mask = run.checker.full_mask();
+    let mut hp = run.checker.full_mask();
     for &i in bottom_up {
-        hp_mask &= !(1u64 << i);
+        hp.remove(i);
         if !spent_within(run.remaining, spent, 1) {
             return SeedVerdict::OutOfBudget;
         }
-        if !run.checker.check_mask(i, hp_mask).stable {
+        if !run.checker.check_mask(i, &hp).stable {
             return SeedVerdict::Unstable;
         }
     }
@@ -568,15 +530,21 @@ mod tests {
     }
 
     #[test]
-    fn wide_sets_fall_back_to_reference_backtracking() {
-        // Beyond MEMO_MAX_TASKS the bitmask memo cannot run; the
-        // portfolio degrades to one budgeted input-order restart.
+    fn wide_sets_run_every_stage_like_narrow_ones() {
+        // Past one mask word the portfolio is the same staged search:
+        // OPA runs first and wins this easy set, and the feasibility
+        // verdict matches the reference backtracking oracle.
         let tasks: Vec<ControlTask> = (0..70)
             .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
             .collect();
         let out = portfolio(&tasks);
-        assert_eq!(out.winner, Some(PortfolioStage::InputRestart));
+        assert_eq!(out.stages[0].stage, PortfolioStage::Opa);
+        assert_eq!(out.winner, Some(PortfolioStage::Opa));
         assert!(!out.truncated());
+        assert_eq!(
+            out.assignment.is_some(),
+            crate::reference::backtracking(&tasks).assignment.is_some()
+        );
         assert!(is_valid_assignment(&tasks, &out.assignment.unwrap()));
         let capped = portfolio_with_budget(&tasks, 3);
         assert!(capped.truncated());

@@ -12,9 +12,10 @@
 //!   validly.
 
 use csa_core::{
-    audsley_opa, backtracking, backtracking_with_budget, backtracking_with_order,
-    count_valid_assignments, exhaustive, is_valid_assignment, portfolio, portfolio_with_budget,
-    reference, unsafe_quadratic, CandidateOrder, ControlTask, PortfolioStage,
+    audsley_opa, audsley_opa_with_budget, backtracking, backtracking_with_budget,
+    backtracking_with_order, count_valid_assignments, exhaustive, is_valid_assignment, portfolio,
+    portfolio_with_budget, reference, unsafe_quadratic, CandidateOrder, ControlTask,
+    PortfolioStage,
 };
 use proptest::prelude::*;
 
@@ -219,6 +220,135 @@ proptest! {
             for _ in 0..3 {
                 prop_assert!(is_valid_assignment(&tasks, &pa));
             }
+        }
+    }
+}
+
+/// Task counts straddling the one-word mask boundary (and the next).
+const WIDE_COUNTS: [usize; 6] = [63, 64, 65, 70, 128, 129];
+
+/// A wide task set: a small anomaly-prone core (drawn like
+/// [`task_set`], at lower utilization) spread across the word boundaries
+/// of the mask, padded with "filler" tasks that are stable at any level
+/// (one tick of work, a period far beyond every response time, a
+/// generous bound). Fillers add one tick of worst-case interference and
+/// no best-case interference to every task below them, so where the
+/// search seats them moves the core's jitter and with it the search's
+/// path, while the core keeps the backtracking non-trivial.
+fn wide_set(n: usize, seed: u64) -> Vec<ControlTask> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let core_len = rng.gen_range(3..=5);
+    // Core positions: the first and last index, both sides of each word
+    // boundary below n, then random free slots.
+    let mut slots: Vec<usize> = vec![0, n - 1, 62, 63, 64, 127, 128]
+        .into_iter()
+        .filter(|&i| i < n)
+        .collect();
+    slots.dedup();
+    while slots.len() < core_len + 2 {
+        let i = rng.gen_range(0..n);
+        if !slots.contains(&i) {
+            slots.push(i);
+        }
+    }
+    let mut picked = Vec::with_capacity(core_len);
+    while picked.len() < core_len {
+        let i = slots[rng.gen_range(0..slots.len())];
+        if !picked.contains(&i) {
+            picked.push(i);
+        }
+    }
+    (0..n)
+        .map(|i| {
+            let id = i as u32;
+            if picked.contains(&i) {
+                let period = rng.gen_range(2u64..40) * 4;
+                let cw = (period / rng.gen_range(7u64..12)).max(1);
+                let cb = (cw / rng.gen_range(1u64..8)).max(1);
+                let a = rng.gen_range(1.0..5.0);
+                let b = rng.gen_range(0.3..3.0) * period as f64 * 1e-9;
+                ControlTask::from_parts(id, cb, cw, period, a, b).unwrap()
+            } else {
+                ControlTask::from_parts(id, 1, 1, 1_000_000_000, 1.0, 1.0).unwrap()
+            }
+        })
+        .collect()
+}
+
+/// Budgets around every interesting truncation point at task count `n`.
+fn wide_budgets(n: u64) -> [u64; 9] {
+    [0, 1, 2, n / 2, n - 1, n, n + 1, 3 * n, 10 * n]
+}
+
+/// Checks beyond which a wide reference search is not run unbudgeted.
+const WIDE_UNBOUNDED_CAP: u64 = 20_000;
+
+#[test]
+fn wide_backtracking_is_bit_identical_to_reference() {
+    let (mut backtracks, mut truncated, mut decided) = (0u64, 0usize, 0usize);
+    for n in WIDE_COUNTS {
+        for seed in 0..4u64 {
+            let tasks = wide_set(n, seed * 1000 + n as u64);
+            for order in [CandidateOrder::Input, CandidateOrder::MaxSlackFirst] {
+                for cap in wide_budgets(n as u64) {
+                    let (fast, fast_trunc) = backtracking_with_budget(&tasks, order, cap);
+                    let (naive, naive_trunc) =
+                        reference::backtracking_with_budget(&tasks, order, cap);
+                    let ctx = format!("n {n} seed {seed} {order:?} cap {cap}");
+                    assert_eq!(fast_trunc, naive_trunc, "{ctx}");
+                    assert_eq!(fast.assignment, naive.assignment, "{ctx}");
+                    assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
+                    assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "{ctx}");
+                    assert_eq!(fast.stats.truncated, naive.stats.truncated, "{ctx}");
+                    backtracks += naive.stats.backtracks;
+                    truncated += usize::from(naive_trunc);
+                }
+                // Unbounded, where the reference decides within the cap.
+                let (capped, capped_trunc) =
+                    reference::backtracking_with_budget(&tasks, order, WIDE_UNBOUNDED_CAP);
+                if !capped_trunc {
+                    let fast = backtracking_with_order(&tasks, order);
+                    let naive = reference::backtracking_with_order(&tasks, order);
+                    let ctx = format!("n {n} seed {seed} {order:?} unbounded");
+                    assert_eq!(naive, capped, "{ctx}");
+                    assert_eq!(fast.assignment, naive.assignment, "{ctx}");
+                    assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
+                    assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "{ctx}");
+                    assert!(!fast.stats.truncated, "{ctx}");
+                    backtracks += naive.stats.backtracks;
+                    decided += 1;
+                }
+            }
+        }
+    }
+    // Not vacuous: the family backtracks, truncates and decides.
+    assert!(backtracks > 0, "no wide case backtracked");
+    assert!(
+        truncated > 0 && decided > 0,
+        "{truncated} truncated, {decided} decided"
+    );
+}
+
+#[test]
+fn wide_opa_and_unsafe_quadratic_are_bit_identical_to_reference() {
+    for n in WIDE_COUNTS {
+        for seed in 0..4u64 {
+            let tasks = wide_set(n, seed * 1000 + n as u64);
+            for cap in wide_budgets(n as u64).into_iter().chain([u64::MAX]) {
+                let (fast, fast_trunc) = audsley_opa_with_budget(&tasks, cap);
+                let (naive, naive_trunc) = reference::audsley_opa_with_budget(&tasks, cap);
+                let ctx = format!("n {n} seed {seed} cap {cap}");
+                assert_eq!(fast_trunc, naive_trunc, "{ctx}");
+                assert_eq!(fast.assignment, naive.assignment, "{ctx}");
+                assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
+                assert_eq!(fast.stats.truncated, naive.stats.truncated, "{ctx}");
+            }
+            let fast = unsafe_quadratic(&tasks);
+            let naive = reference::unsafe_quadratic(&tasks);
+            assert_eq!(fast.assignment, naive.assignment, "n {n} seed {seed}");
+            assert_eq!(fast.stats.checks, naive.stats.checks, "n {n} seed {seed}");
         }
     }
 }

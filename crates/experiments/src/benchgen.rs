@@ -19,7 +19,7 @@
 
 use crate::margins::{interpolated_tables, margin_tables, MarginEntry, MarginInterp, PlantMargins};
 use csa_core::{ControlTask, StabilityBound, StabilityChecker, TaskVerdict};
-use csa_rta::{uunifast, Task, TaskId, Ticks};
+use csa_rta::{uunifast, Task, TaskId, TaskMask, Ticks};
 use rand::Rng;
 
 /// Log-grid points of the victim-period sweep under
@@ -389,15 +389,14 @@ fn refine_margin_tight<R: Rng + ?Sized>(
         .enumerate()
         .map(|(i, d)| provisional_task(i, usable[d.plant].name, d))
         .collect();
-    // Maximum interference for every task: all other tasks above it.
-    let hps: Vec<Vec<usize>> = (0..n)
-        .map(|t| (0..n).filter(|&z| z != t).collect())
-        .collect();
+    // Maximum interference for every task: all other tasks above it
+    // (a check ignores the checked task's own bit).
+    let all = TaskMask::full(n);
 
     // Pass 1: scan the natural draw for a certificate lie: any victim
     // and any removable subset of stable larger-slack tasks.
     let mut checker = StabilityChecker::uncached(&provisional);
-    let verdicts: Vec<TaskVerdict> = (0..n).map(|x| checker.check(x, &hps[x])).collect();
+    let verdicts: Vec<TaskVerdict> = (0..n).map(|x| checker.check_mask(x, &all)).collect();
     for v in 0..n {
         if let Some(below) = find_lie_subset(&mut checker, &verdicts, v) {
             tighten_bystanders(draws, &verdicts, v, &below);
@@ -446,14 +445,14 @@ fn refine_margin_tight<R: Rng + ?Sized>(
             },
         );
         let mut checker = StabilityChecker::uncached(&provisional);
-        let v = checker.check(victim, &hps[victim]);
+        let v = checker.check_mask(victim, &all);
         if v.stable {
             let verdicts: Vec<TaskVerdict> = (0..n)
                 .map(|x| {
                     if x == victim {
                         v
                     } else {
-                        checker.check(x, &hps[x])
+                        checker.check_mask(x, &all)
                     }
                 })
                 .collect();
@@ -534,7 +533,8 @@ fn enumerate_lie_subsets(
     // keeps wide sets linear-ish (singles and pairs come first anyway).
     let width = cands.len().min(5);
     let mut below = Vec::with_capacity(width);
-    let mut hp = Vec::with_capacity(n);
+    // Every task but `v` (ignored by the check) and the removed subset.
+    let mut hp = TaskMask::full(n);
     for mask in 1..1u32 << width {
         below.clear();
         below.extend(
@@ -544,9 +544,14 @@ fn enumerate_lie_subsets(
                 .filter(|&(ci, _)| mask & (1 << ci) != 0)
                 .map(|(_, &x)| x),
         );
-        hp.clear();
-        hp.extend((0..n).filter(|&x| x != v && !below.contains(&x)));
-        if !checker.check(v, &hp).stable {
+        for &x in &below {
+            hp.remove(x);
+        }
+        let stable = checker.check_mask(v, &hp).stable;
+        for &x in &below {
+            hp.insert(x);
+        }
+        if !stable {
             return Some(below);
         }
     }

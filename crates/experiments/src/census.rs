@@ -19,10 +19,8 @@ use crate::orchestrate::{
 use crate::search::SearchConfig;
 use crate::witness::{Witness, WitnessKind};
 use csa_core::{
-    audsley_opa, find_interference_removal_anomaly, find_interference_removal_anomaly_on,
-    find_priority_raise_anomaly, find_priority_raise_anomaly_on, is_valid_assignment,
-    opa_on_checker, unsafe_quadratic, unsafe_quadratic_on, verify_witness, AssignmentOutcome,
-    ControlTask, StabilityChecker, MEMO_MAX_TASKS,
+    find_interference_removal_anomaly_on, find_priority_raise_anomaly_on, opa_on_checker,
+    unsafe_quadratic_on, verify_witness, AssignmentOutcome, ControlTask, StabilityChecker,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,10 +121,8 @@ pub struct CensusRow {
 /// corpus instances with it.
 ///
 /// Runs `O(n^2)` exact checks on one memoizing [`StabilityChecker`]:
-/// the scratch keeps the whole scan allocation-free, and the bitmask
-/// subsets cost nothing to form. Sets wider than the bitmask
-/// (`csa_core::MEMO_MAX_TASKS`, far above any stock configuration)
-/// take the index-set path so arbitrary task counts keep working.
+/// one mask, edited in place, names every subset, so the whole scan is
+/// allocation-free at any task count.
 pub fn has_certificate_lie(tasks: &[ControlTask]) -> bool {
     let mut checker = StabilityChecker::new(tasks);
     has_certificate_lie_on(&mut checker)
@@ -138,29 +134,18 @@ pub fn has_certificate_lie(tasks: &[ControlTask]) -> bool {
 /// order; verdicts are pure, so the answer is identical.
 pub fn has_certificate_lie_on(checker: &mut StabilityChecker<'_>) -> bool {
     let n = checker.len();
-    if checker.memoized() {
-        let full = checker.full_mask();
-        for i in 0..n {
-            let hp_full = full & !(1u64 << i);
-            if !checker.check_mask(i, hp_full).stable {
-                continue;
-            }
-            for j in 0..n {
-                if j != i && !checker.check_mask(i, hp_full & !(1u64 << j)).stable {
-                    return true;
-                }
-            }
-        }
-        return false;
-    }
+    // `check_mask` ignores the checked task's own bit: `hp` is "every
+    // other task", minus the one removal being probed.
+    let mut hp = checker.full_mask();
     for i in 0..n {
-        let full: Vec<usize> = (0..n).filter(|&x| x != i).collect();
-        if !checker.check(i, &full).stable {
+        if !checker.check_mask(i, &hp).stable {
             continue;
         }
-        for &j in &full {
-            let reduced: Vec<usize> = full.iter().copied().filter(|&x| x != j).collect();
-            if !checker.check(i, &reduced).stable {
+        for j in (0..n).filter(|&j| j != i) {
+            hp.remove(j);
+            let stable = checker.check_mask(i, &hp).stable;
+            hp.insert(j);
+            if !stable {
                 return true;
             }
         }
@@ -238,47 +223,10 @@ impl InstanceClassification {
 /// Classifies one task set exactly as the batch census does: the
 /// certificate-lie scan, the configured search, the anomaly detectors
 /// on the found assignment, OPA incompleteness, and the Unsafe
-/// Quadratic validity check. Sets of up to [`MEMO_MAX_TASKS`] tasks run
-/// every step on **one shared memoizing checker** (cross-step reuse;
-/// identical verdicts); wider sets use the per-call engines.
+/// Quadratic validity check — every step on **one shared memoizing
+/// checker** (cross-step reuse; identical verdicts).
 pub fn classify_instance(tasks: &[ControlTask], search: &SearchConfig) -> InstanceClassification {
-    if tasks.len() <= MEMO_MAX_TASKS {
-        let mut checker = StabilityChecker::new(tasks);
-        return classify_instance_on(&mut checker, search);
-    }
-    // Wide sets cannot key the bitmask memo: mirror the shared-checker
-    // sequence with the one-shot engines (identical verdicts).
-    let certificate_lie = has_certificate_lie(tasks);
-    let bt = search.solve(tasks);
-    let (interference_anomaly, priority_raise_anomaly, opa_incomplete) = match &bt.assignment {
-        Some(pa) => {
-            let interf = match find_interference_removal_anomaly(tasks, pa) {
-                Some(w) => {
-                    debug_assert!(verify_witness(tasks, pa, &w));
-                    true
-                }
-                None => false,
-            };
-            (
-                interf,
-                find_priority_raise_anomaly(tasks, pa).is_some(),
-                audsley_opa(tasks).assignment.is_none(),
-            )
-        }
-        None => (false, false, false),
-    };
-    let unsafe_invalid = match unsafe_quadratic(tasks).assignment {
-        Some(pa) => !is_valid_assignment(tasks, &pa),
-        None => false,
-    };
-    InstanceClassification {
-        outcome: bt,
-        interference_anomaly,
-        priority_raise_anomaly,
-        opa_incomplete,
-        unsafe_invalid,
-        certificate_lie,
-    }
+    classify_instance_on(&mut StabilityChecker::new(tasks), search)
 }
 
 /// [`classify_instance`] over an existing (possibly warm)
@@ -286,11 +234,6 @@ pub fn classify_instance(tasks: &[ControlTask], search: &SearchConfig) -> Instan
 /// service uses to keep one warm memo per task set across requests.
 /// Every step is pure in the verdicts, so warmth changes only cache-hit
 /// telemetry, never the classification.
-///
-/// # Panics
-///
-/// Panics if the checker's set has more than [`MEMO_MAX_TASKS`] tasks;
-/// wide sets must go through [`classify_instance`].
 pub fn classify_instance_on(
     checker: &mut StabilityChecker<'_>,
     search: &SearchConfig,
@@ -319,7 +262,7 @@ pub fn classify_instance_on(
         Some(pa) => {
             // Validity through the shared checker: same verdicts as
             // `is_valid_assignment`, warmed for the next request.
-            !(0..checker.len()).all(|i| checker.check(i, &pa.hp_indices(i)).stable)
+            !(0..checker.len()).all(|i| checker.check_assigned(i, &pa).stable)
         }
         None => false,
     };
@@ -525,8 +468,8 @@ mod tests {
 
     #[test]
     fn wide_sets_beyond_bitmask_still_work() {
-        // Regression: task counts above csa_core::MEMO_MAX_TASKS must
-        // take the index-set path, not panic on the bitmask width.
+        // Regression: task sets wider than one mask word run the same
+        // checker path as narrow ones.
         let rows = run_census(&CensusConfig {
             task_counts: vec![70],
             benchmarks: 2,

@@ -54,9 +54,8 @@ pub fn run_fig4(config: &Fig4Config) -> Vec<Fig4Curve> {
     let plant = plants::dc_servo().expect("valid plant");
     let weights = LqgWeights::output_regulation(&plant, 1e-1, 1e-6);
     // The figure is illustrative, not part of the bit-frozen table
-    // surface, so it runs on the fast kernel class: warm-started LQG
-    // designs across the period family plus the Hessenberg-sweep margin
-    // kernel (tolerance contract in DESIGN.md §10).
+    // surface, so it runs on the fast Hessenberg-sweep margin kernel
+    // (tolerance contract in DESIGN.md §10).
     let mut batch = StabilityCurveBatch::new(KernelMode::Fast);
     config
         .periods

@@ -12,9 +12,8 @@
 //! untouched — a sweep stays a pure function of its configuration.
 
 use csa_core::{
-    audsley_opa_with_budget, backtracking_on_checker, backtracking_with_budget, opa_on_checker,
-    portfolio_on_checker, portfolio_with_budget, AssignmentOutcome, CandidateOrder, ControlTask,
-    StabilityChecker,
+    backtracking_on_checker, opa_on_checker, portfolio_on_checker, AssignmentOutcome,
+    CandidateOrder, ControlTask, StabilityChecker,
 };
 
 /// Which assignment search a sweep runs per benchmark instance.
@@ -116,19 +115,7 @@ impl SearchConfig {
     /// in `stats.truncated`; a truncated `None` means "unknown", not
     /// "infeasible", and sweeps must count it separately.
     pub fn solve(&self, tasks: &[ControlTask]) -> AssignmentOutcome {
-        match self.mode {
-            SearchMode::Backtracking => {
-                backtracking_with_budget(tasks, CandidateOrder::Input, self.budget).0
-            }
-            SearchMode::Portfolio => {
-                let out = portfolio_with_budget(tasks, self.budget);
-                AssignmentOutcome {
-                    assignment: out.assignment,
-                    stats: out.stats,
-                }
-            }
-            SearchMode::Opa => audsley_opa_with_budget(tasks, self.budget).0,
-        }
+        self.solve_on(&mut StabilityChecker::new(tasks))
     }
 
     /// [`Self::solve`] over an existing (possibly warm)
@@ -137,12 +124,6 @@ impl SearchConfig {
     /// identical to [`Self::solve`] on the same task slice: memo warmth
     /// changes only cache-hit telemetry, never the assignment, the
     /// logical check count, or the truncation point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checker's set has more than
-    /// [`csa_core::MEMO_MAX_TASKS`] tasks; wide sets must go through
-    /// [`Self::solve`], which falls back to the reference searches.
     pub fn solve_on(&self, checker: &mut StabilityChecker<'_>) -> AssignmentOutcome {
         match self.mode {
             SearchMode::Backtracking => {

@@ -22,9 +22,8 @@
 //!   Riccati equations with cross weights.
 //! * [`LuScratch`], [`EigScratch`], [`LyapScratch`], [`DareScratch`] —
 //!   re-entrant zero-allocation workspaces mirroring the corresponding
-//!   one-shot solvers bit-for-bit, plus the warm-started
-//!   [`DareScratch::solve_warm`] Kleinman iteration and
-//!   [`hessenberg_with_q`] for reduced-once frequency sweeps.
+//!   one-shot solvers bit-for-bit, plus [`hessenberg_with_q`] for
+//!   reduced-once frequency sweeps.
 //!
 //! # Example: discretize and stabilize a double integrator
 //!

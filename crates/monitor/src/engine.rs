@@ -24,11 +24,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
-use csa_core::{check_task, ControlTask, StabilityChecker, VerdictMemo, MEMO_MAX_TASKS};
+use csa_core::{ControlTask, StabilityChecker, VerdictMemo};
 use csa_experiments::artifact::Fnv64;
 use csa_experiments::{
-    classify_instance, classify_instance_on, generate_benchmark, instance_seed,
-    parallel_map_catching, BenchmarkConfig, SearchConfig, WitnessKind,
+    classify_instance_on, generate_benchmark, instance_seed, parallel_map_catching,
+    BenchmarkConfig, SearchConfig, WitnessKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -372,8 +372,8 @@ impl MonitorEngine {
                     for (&pos, a) in group.positions.iter().zip(gr.assessments) {
                         slots[pos] = Some(Ok(a));
                     }
-                    if let (Some(fp), Some(memo)) = (group.fingerprint, gr.memo) {
-                        self.memo.put(fp, group.tasks, memo);
+                    if let Some(fp) = group.fingerprint {
+                        self.memo.put(fp, group.tasks, gr.memo);
                     }
                 }
                 Err(msg) => {
@@ -655,26 +655,12 @@ fn group_batch(materialized: &[Result<Vec<ControlTask>, String>]) -> Vec<Group> 
 /// telemetry.
 struct GroupResult {
     assessments: Vec<Assessment>,
-    memo: Option<VerdictMemo>,
+    memo: VerdictMemo,
     logical: u64,
     computed: u64,
 }
 
 fn assess_group(group: &Group, memo: VerdictMemo, search: &SearchConfig) -> GroupResult {
-    if group.tasks.len() > MEMO_MAX_TASKS {
-        // Wide sets bypass the shared memo (bounded-width masks).
-        let assessments = group
-            .positions
-            .iter()
-            .map(|_| assess_wide(&group.tasks, search))
-            .collect();
-        return GroupResult {
-            assessments,
-            memo: None,
-            logical: 0,
-            computed: 0,
-        };
-    }
     let mut checker = StabilityChecker::with_memo(&group.tasks, memo);
     let assessments = group
         .positions
@@ -685,7 +671,7 @@ fn assess_group(group: &Group, memo: VerdictMemo, search: &SearchConfig) -> Grou
     let computed = checker.computed_checks();
     GroupResult {
         assessments,
-        memo: Some(checker.into_memo()),
+        memo: checker.into_memo(),
         logical,
         computed,
     }
@@ -707,49 +693,9 @@ fn assess_on(checker: &mut StabilityChecker<'_>, search: &SearchConfig) -> Asses
             let mut min_s: Option<f64> = None;
             let mut min_ns: Option<f64> = None;
             for i in 0..checker.len() {
-                let v = checker.check(i, &pa.hp_indices(i));
+                let v = checker.check_assigned(i, pa);
                 let b = checker.tasks()[i].bound().b();
                 let ns = v.slack / b;
-                min_s = Some(match min_s {
-                    Some(cur) if cur < v.slack => cur,
-                    _ => v.slack,
-                });
-                min_ns = Some(match min_ns {
-                    Some(cur) if cur < ns => cur,
-                    _ => ns,
-                });
-            }
-            (min_s, min_ns)
-        }
-        None => (None, None),
-    };
-    Assessment {
-        verdict,
-        checks: c.outcome.stats.checks,
-        truncated: c.outcome.stats.truncated,
-        slack,
-        norm_slack,
-        anomalies: c.kinds(),
-    }
-}
-
-/// Wide-set (`n > MEMO_MAX_TASKS`) assessment via the reference paths.
-fn assess_wide(tasks: &[ControlTask], search: &SearchConfig) -> Assessment {
-    let c = classify_instance(tasks, search);
-    let verdict = if c.solvable() {
-        Verdict::Admit
-    } else if c.truncated() {
-        Verdict::Unknown
-    } else {
-        Verdict::Reject
-    };
-    let (slack, norm_slack) = match &c.outcome.assignment {
-        Some(pa) => {
-            let mut min_s: Option<f64> = None;
-            let mut min_ns: Option<f64> = None;
-            for i in 0..tasks.len() {
-                let v = check_task(tasks, i, &pa.hp_indices(i));
-                let ns = v.slack / tasks[i].bound().b();
                 min_s = Some(match min_s {
                     Some(cur) if cur < v.slack => cur,
                     _ => v.slack,
@@ -841,6 +787,73 @@ mod tests {
         // same checks), but it recomputed strictly less.
         assert_eq!(engine.logical_checks(), 2 * cold_logical);
         assert!(engine.computed_checks() - cold_computed < cold_computed);
+    }
+
+    #[test]
+    fn wide_requests_are_counted_and_banked() {
+        // Past one mask word a request runs the same checker path: its
+        // checks are counted and its (unmemoized) table is banked.
+        let wide = |id| Request {
+            id,
+            payload: Payload::Generated {
+                profile: PeriodModel::GridSnapped,
+                seed: 3,
+                n: 65,
+                index: 0,
+            },
+        };
+        let search = SearchConfig::new(csa_experiments::SearchMode::Portfolio, 2000);
+        let mut engine = MonitorEngine::new(MonitorConfig {
+            batch_window: 1,
+            search,
+            ..MonitorConfig::default()
+        });
+        let first = engine.submit(wide(1));
+        let logical = engine.logical_checks();
+        assert!(logical >= first[0].checks && first[0].checks > 0);
+        assert_eq!(engine.memo_tables(), 1);
+        let second = engine.submit(wide(2));
+        assert_eq!(engine.memo_tables(), 1);
+        assert_eq!(engine.logical_checks(), 2 * logical);
+        assert_eq!(first[0].verdict, second[0].verdict);
+        assert_eq!(first[0].checks, second[0].checks);
+        assert_eq!(first[0].slack, second[0].slack);
+
+        // Mixed with narrow requests, responses do not depend on the
+        // batch window.
+        let runs: Vec<Vec<Response>> = [1usize, 3, 16]
+            .into_iter()
+            .map(|batch_window| {
+                let mut engine = MonitorEngine::new(MonitorConfig {
+                    batch_window,
+                    search,
+                    min_samples: 8,
+                    ..MonitorConfig::default()
+                });
+                let mut out = Vec::new();
+                for k in 0..6u64 {
+                    let request = if k == 2 {
+                        wide(k + 1)
+                    } else {
+                        Request {
+                            id: k + 1,
+                            payload: Payload::Generated {
+                                profile: PeriodModel::GridSnapped,
+                                seed: 11,
+                                n: 4,
+                                index: k as usize,
+                            },
+                        }
+                    };
+                    out.extend(engine.submit(request));
+                }
+                out.extend(engine.flush());
+                out
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
+        assert_eq!(runs[0].len(), 6);
     }
 
     #[test]

@@ -38,6 +38,7 @@
 mod analysis;
 mod bounds;
 mod generate;
+mod mask;
 mod scratch;
 mod task;
 mod time;
@@ -48,6 +49,7 @@ pub use bounds::{
     wcrt_with_release_jitter,
 };
 pub use generate::{generate_task_set, random_period, uunifast, TaskSetConfig};
+pub use mask::{Ones, TaskMask};
 pub use scratch::RtaScratch;
 pub use task::{hyperperiod, utilization, InvalidTask, Task, TaskId};
 pub use time::{Ticks, TICKS_PER_SECOND};

@@ -10,10 +10,10 @@
 //!    to pop the minimum), keyed by `(time, task_index)` — the exact
 //!    order the reference release sweep visits tasks, which is observable
 //!    through stateful execution policies and the trace; and
-//! 2. a **ready index**: tasks keyed by priority *rank* in a `u64` bitmap
-//!    for n ≤ 64 (highest ready rank via `leading_zeros`, O(1)) falling
-//!    back to an ordered set beyond that, plus one FIFO job queue per
-//!    task (jobs of one task complete in release order).
+//! 2. a **ready set**: tasks keyed by priority *rank* in one
+//!    [`TaskMask`] at every task count (the highest ready rank is the
+//!    top set bit: O(1) per mask word), plus one FIFO job queue per task
+//!    (jobs of one task complete in release order).
 //!
 //! Completions need no queued events at all: the running job is always
 //! the front of the highest-ranked ready queue, so its finish time is
@@ -28,8 +28,8 @@
 
 use crate::policy::ExecutionPolicy;
 use crate::simulator::{finalize_stats, init_stats, SimOutcome, Simulator, TraceEvent};
-use csa_rta::Ticks;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use csa_rta::{TaskMask, Ticks};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A pending job release. `Ord` is flipped so that [`BinaryHeap`] (a
 /// max-heap) pops the earliest `(time, task_index)` first.
@@ -54,53 +54,6 @@ impl PartialOrd for QueuedRelease {
     }
 }
 
-/// Set of tasks with at least one pending job, keyed by priority rank
-/// (`n - 1` = highest priority).
-#[derive(Debug)]
-enum ReadyIndex {
-    /// One bit per rank; the running task is the highest set bit.
-    Bitmap(u64),
-    /// Fallback for n > 64 ranks.
-    Tree(BTreeSet<usize>),
-}
-
-impl ReadyIndex {
-    fn new(n: usize) -> Self {
-        if n <= 64 {
-            ReadyIndex::Bitmap(0)
-        } else {
-            ReadyIndex::Tree(BTreeSet::new())
-        }
-    }
-
-    /// Marks a rank ready (idempotent: a task may queue several jobs).
-    fn insert(&mut self, rank: usize) {
-        match self {
-            ReadyIndex::Bitmap(bits) => *bits |= 1u64 << rank,
-            ReadyIndex::Tree(set) => {
-                set.insert(rank);
-            }
-        }
-    }
-
-    fn remove(&mut self, rank: usize) {
-        match self {
-            ReadyIndex::Bitmap(bits) => *bits &= !(1u64 << rank),
-            ReadyIndex::Tree(set) => {
-                set.remove(&rank);
-            }
-        }
-    }
-
-    /// Highest ready rank, if any.
-    fn highest(&self) -> Option<usize> {
-        match self {
-            ReadyIndex::Bitmap(bits) => bits.checked_ilog2().map(|b| b as usize),
-            ReadyIndex::Tree(set) => set.last().copied(),
-        }
-    }
-}
-
 /// A pending job of one task (the task index is the queue it sits in).
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -121,7 +74,8 @@ pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
     let mut stats = init_stats(&sim.tasks);
     let mut job_count = vec![0u64; n];
     let mut queues: Vec<VecDeque<Job>> = vec![VecDeque::new(); n];
-    let mut ready = ReadyIndex::new(n);
+    // Ranks with at least one pending job (`n - 1` = highest priority).
+    let mut ready = TaskMask::empty(n);
     let mut releases: BinaryHeap<QueuedRelease> = BinaryHeap::with_capacity(n + 1);
     for (i, t) in sim.tasks.iter().enumerate() {
         // Releases at or past the horizon never happen (matching the
@@ -259,39 +213,5 @@ mod tests {
             popped.push((r.time.get(), r.task_index));
         }
         assert_eq!(popped, vec![(3, 0), (3, 2), (5, 0), (5, 1), (9, 3)]);
-    }
-
-    #[test]
-    fn bitmap_index_tracks_highest_rank() {
-        let mut idx = ReadyIndex::new(8);
-        assert_eq!(idx.highest(), None);
-        idx.insert(3);
-        idx.insert(5);
-        idx.insert(0);
-        assert_eq!(idx.highest(), Some(5));
-        idx.insert(5); // idempotent
-        idx.remove(5);
-        assert_eq!(idx.highest(), Some(3));
-        idx.remove(3);
-        idx.remove(0);
-        assert_eq!(idx.highest(), None);
-        // Top bit of the 64-rank bitmap.
-        let mut full = ReadyIndex::new(64);
-        full.insert(63);
-        full.insert(62);
-        assert_eq!(full.highest(), Some(63));
-    }
-
-    #[test]
-    fn tree_fallback_matches_bitmap_semantics() {
-        let mut idx = ReadyIndex::new(100);
-        assert!(matches!(idx, ReadyIndex::Tree(_)));
-        assert_eq!(idx.highest(), None);
-        idx.insert(70);
-        idx.insert(99);
-        idx.insert(70);
-        assert_eq!(idx.highest(), Some(99));
-        idx.remove(99);
-        assert_eq!(idx.highest(), Some(70));
     }
 }

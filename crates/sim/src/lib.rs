@@ -14,7 +14,7 @@
 //!
 //! Since PR 8 the hot loop is an **event-queue core** (DESIGN.md §12):
 //! a flipped-`Ord` binary-heap release queue plus a priority-bitmap ready
-//! index make each scheduling event O(log n) instead of three O(n)
+//! set (`csa_rta::TaskMask`, at any task count) make each scheduling event O(log n) instead of three O(n)
 //! scans, which is what lets the `crossval` experiment execute witnesses
 //! over full hyperperiods. The original scan loop survives as
 //! [`reference::run`], pinned bit-identical by a differential proptest

@@ -274,7 +274,7 @@ pub struct Simulator {
     pub(crate) record_trace: bool,
     pub(crate) trace_cap: Option<usize>,
     /// `rank_of[i]` = priority rank of task `i` (0 = lowest priority,
-    /// `n - 1` = highest); the key used by the event core's ready index.
+    /// `n - 1` = highest); the key used by the event core's ready set.
     pub(crate) rank_of: Vec<usize>,
     /// Inverse of `rank_of`: the task index holding each rank.
     pub(crate) task_at_rank: Vec<usize>,
