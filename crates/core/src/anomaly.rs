@@ -69,6 +69,10 @@ pub enum AnomalyKind {
 /// set but unstable when one higher-priority task `j` is removed.
 ///
 /// Returns the first witness found (tasks scanned in index order).
+/// Tasks that the envelope bound
+/// ([`ControlTask::stable_under_any_removal`]) covers under their full
+/// higher-priority set cannot be destabilized by any removal, so their
+/// probes are skipped; the witness is the one the exhaustive scan finds.
 ///
 /// # Examples
 ///
@@ -105,17 +109,23 @@ pub fn find_interference_removal_anomaly_on(
 ) -> Option<AnomalyWitness> {
     // One mask, edited in place: task i's higher-priority set, minus the
     // one removal being probed.
-    let mut hp = TaskMask::empty(checker.len());
-    for i in 0..checker.len() {
+    let tasks = checker.tasks();
+    let mut hp = TaskMask::empty(tasks.len());
+    for (i, task) in tasks.iter().enumerate() {
         if assignment.hp_iter(i).next().is_none() {
             continue;
         }
-        hp.reset(checker.len());
+        hp.reset(tasks.len());
         for j in assignment.hp_iter(i) {
             hp.insert(j);
         }
         let before = checker.check_mask(i, &hp);
-        if !before.stable {
+        // Under the envelope bound no removal can destabilize `i`.
+        if !before.stable
+            || before
+                .bounds
+                .is_some_and(|rb| task.stable_under_any_removal(&rb))
+        {
             continue;
         }
         for j in assignment.hp_iter(i) {
@@ -141,6 +151,11 @@ pub fn find_interference_removal_anomaly_on(
 ///
 /// This is the anomaly of the paper's case study: raising a task's
 /// priority gives it more resource yet destabilizes its plant.
+///
+/// Promotion drops one task from the interference set, so a task that
+/// the envelope bound ([`ControlTask::stable_under_any_removal`]) covers
+/// at its current level is skipped without its promoted check; the
+/// witness is the one the exhaustive walk finds.
 pub fn find_priority_raise_anomaly(
     tasks: &[ControlTask],
     assignment: &PriorityAssignment,
@@ -158,6 +173,7 @@ pub fn find_priority_raise_anomaly_on(
     checker: &mut StabilityChecker<'_>,
     assignment: &PriorityAssignment,
 ) -> Option<AnomalyWitness> {
+    let tasks = checker.tasks();
     let order = assignment.highest_first();
     // Walk pairs (above, below) from the top; promoting `below` swaps it
     // with `above`, i.e. drops `above` from its higher-priority set.
@@ -167,7 +183,12 @@ pub fn find_priority_raise_anomaly_on(
         let (above, below) = (w[0], w[1]);
         hp.insert(above);
         let before = checker.check_mask(below, &hp);
-        if !before.stable {
+        // Under the envelope bound no removal can destabilize `below`.
+        if !before.stable
+            || before
+                .bounds
+                .is_some_and(|rb| tasks[below].stable_under_any_removal(&rb))
+        {
             continue;
         }
         hp.remove(above);

@@ -165,6 +165,21 @@ impl ControlTask {
         self.bound.permits(rb.latency(), rb.jitter())
     }
 
+    /// Whether the task stays stable after removing *any* subset of the
+    /// interference set that produced `rb` — the RTA-monotonicity bound
+    /// of DESIGN.md §3.1. Removing higher-priority tasks can only lower
+    /// `R_w` and keeps `R_b` within `[c_b, R_b]`, so latency `R_b` and
+    /// jitter `R_w - c_b` bound every reduced set's pair, and the slack
+    /// is monotone in both even as computed in `f64`. When this holds,
+    /// no removal anomaly exists for the task and a detector may skip
+    /// its probes; when it fails, only an exhaustive probe can tell.
+    ///
+    /// Implies [`stable_with`](Self::stable_with) on `rb` itself.
+    pub fn stable_under_any_removal(&self, rb: &ResponseBounds) -> bool {
+        self.bound
+            .permits(rb.latency(), rb.wcrt - self.task.c_best())
+    }
+
     /// Returns a copy with a different worst-case execution time (for
     /// sensitivity analysis).
     ///

@@ -502,11 +502,7 @@ fn find_lie_subset(
     v: usize,
 ) -> Option<Vec<usize>> {
     let rb = verdicts[v].bounds.filter(|_| verdicts[v].stable)?;
-    let victim = &checker.tasks()[v];
-    if victim
-        .bound()
-        .permits(rb.latency(), rb.wcrt - victim.task().c_best())
-    {
+    if checker.tasks()[v].stable_under_any_removal(&rb) {
         return None;
     }
     enumerate_lie_subsets(checker, verdicts, v)
@@ -628,6 +624,7 @@ fn round_c_worst_largest_remainder(utils: &[f64], periods: &[Ticks]) -> Vec<Tick
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyadic::{dyadic_params, dyadic_set, full_interference_verdicts, LIE_CORE};
     use proptest::strategy::Strategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -849,95 +846,6 @@ mod tests {
         assert_eq!(got, expected, "legacy grid-snapped generator drifted");
     }
 
-    /// One dyadic tick unit: `1/512 s`, so latencies, jitters and the
-    /// power-of-two jitter weights below multiply and subtract exactly in
-    /// `f64` (the idiom of `permits_boundary_exact` in csa-core).
-    const UNIT: u64 = 1_953_125;
-
-    /// Per-task draw: period in units, worst-case utilization in
-    /// per mille, best-case ratio in percent, `log2 a`, the delay-budget
-    /// mode, and a slack offset in units.
-    type DyadicParams = Vec<(u64, u64, u64, u32, u8, u64)>;
-
-    /// A planted certificate lie (tasks `(c_b, c_w, T)` = `(1, 1, 9)`,
-    /// `(6, 8, 56)`, `(47, 54, 696)` units): the third task is stable at
-    /// exactly zero slack (`a = 8`) under full interference, and removing
-    /// the first grows `8 R_w - 7 R_b` from 219 to 231 units. Random
-    /// sets almost never contain the geometry, so half the cases start
-    /// from this core.
-    const LIE_CORE: [(u64, u64, u64, u32, u8, u64); 3] = [
-        (9, 111, 100, 0, 2, 3),
-        (56, 143, 75, 0, 2, 3),
-        (696, 78, 88, 3, 2, 0),
-    ];
-
-    fn dyadic_params() -> impl Strategy<Value = DyadicParams> {
-        let task = (
-            8u64..=1024,
-            5u64..=150,
-            10u64..=100,
-            0u32..=3,
-            0u8..=3,
-            0u64..=6,
-        );
-        let tasks = proptest::collection::vec(task, 2..=12);
-        (0u8..=5, tasks).prop_map(|(plant, tasks)| match plant {
-            // Core plus up to two random tasks (which may break the lie).
-            0..=2 => LIE_CORE
-                .iter()
-                .copied()
-                .chain(tasks)
-                .take(3 + plant as usize)
-                .collect(),
-            _ => tasks,
-        })
-    }
-
-    fn full_interference_verdicts(checker: &mut StabilityChecker<'_>) -> Vec<TaskVerdict> {
-        let n = checker.len();
-        (0..n)
-            .map(|x| {
-                let hp: Vec<usize> = (0..n).filter(|&z| z != x).collect();
-                checker.check(x, &hp)
-            })
-            .collect()
-    }
-
-    /// Builds a dyadic set whose delay budgets sit on, just inside, or
-    /// randomly above the pruning bound's boundary `b = R_b + a (R_w - c_b)`
-    /// of each task's full-interference bounds.
-    fn dyadic_set(params: &DyadicParams) -> Vec<ControlTask> {
-        let secs = |units: u64| (units * UNIT) as f64 * 1e-9;
-        let build = |i: usize, a: f64, b: f64| {
-            let (period, util, ratio, ..) = params[i];
-            let cw = (period * util / 1000).max(1);
-            let cb = (cw * ratio / 100).max(1);
-            ControlTask::from_parts(i as u32, cb * UNIT, cw * UNIT, period * UNIT, a, b)
-                .expect("dyadic task is valid")
-        };
-        let timing: Vec<ControlTask> = (0..params.len()).map(|i| build(i, 1.0, 0.0)).collect();
-        let verdicts = full_interference_verdicts(&mut StabilityChecker::uncached(&timing));
-        (0..params.len())
-            .map(|i| {
-                let (_, _, _, log_a, mode, offset) = params[i];
-                let a = f64::from(1u32 << log_a);
-                let b = match verdicts[i].bounds {
-                    None => 1.0,
-                    Some(rb) => {
-                        let latency = rb.latency().as_secs_f64();
-                        let spread = (rb.wcrt - timing[i].task().c_best()).as_secs_f64();
-                        match mode {
-                            0 => latency + a * spread,
-                            1 => latency + a * spread - secs(1),
-                            _ => latency + a * rb.jitter().as_secs_f64() + secs(offset),
-                        }
-                    }
-                };
-                build(i, a, b)
-            })
-            .collect()
-    }
-
     /// The verdicts with every task but `v` declared a stable candidate
     /// of unbounded slack. The candidate filter only narrows which
     /// removal subsets get enumerated, while the pruning bound covers
@@ -994,13 +902,13 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn pruned_lie_search_matches_exhaustive_oracle(params in dyadic_params()) {
-            assert_pruned_matches_oracle(&dyadic_set(&params));
+            assert_pruned_matches_oracle(&dyadic_set(&params).expect("valid dyadic set"));
         }
     }
 
     #[test]
     fn pruned_search_finds_the_planted_lie() {
-        let set = dyadic_set(&LIE_CORE.to_vec());
+        let set = dyadic_set(&LIE_CORE.to_vec()).expect("valid dyadic set");
         let mut checker = StabilityChecker::uncached(&set);
         let verdicts = full_interference_verdicts(&mut checker);
         assert_eq!(verdicts[2].slack, 0.0, "{verdicts:?}");
@@ -1020,7 +928,8 @@ mod tests {
         let mut total = OracleTally::default();
         for _ in 0..200 {
             let params = dyadic_params().generate(&mut rng).expect("vec strategy");
-            let tally = assert_pruned_matches_oracle(&dyadic_set(&params));
+            let tally =
+                assert_pruned_matches_oracle(&dyadic_set(&params).expect("valid dyadic set"));
             total.lies += tally.lies;
             total.pruned += tally.pruned;
             total.on_boundary += tally.on_boundary;

@@ -20,7 +20,8 @@ use crate::search::SearchConfig;
 use crate::witness::{Witness, WitnessKind};
 use csa_core::{
     find_interference_removal_anomaly_on, find_priority_raise_anomaly_on, opa_on_checker,
-    unsafe_quadratic_on, verify_witness, AssignmentOutcome, ControlTask, StabilityChecker,
+    unsafe_quadratic_on, verify_witness, AnomalyKind, AnomalyWitness, AssignmentOutcome,
+    ControlTask, StabilityChecker,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,9 +121,13 @@ pub struct CensusRow {
 /// assignment heuristic's trajectory; the witness replay tests pin the
 /// corpus instances with it.
 ///
-/// Runs `O(n^2)` exact checks on one memoizing [`StabilityChecker`]:
-/// one mask, edited in place, names every subset, so the whole scan is
-/// allocation-free at any task count.
+/// Runs one exact check per task on one memoizing
+/// [`StabilityChecker`]. Only a stable task that the envelope bound
+/// ([`ControlTask::stable_under_any_removal`], DESIGN.md §3.1) does not
+/// cover gets its `n - 1` single-removal probes, so the scan is `O(n^2)`
+/// checks only in the worst case and close to `n` on the benchmark
+/// distributions. One mask, edited in place, names every subset, so the
+/// whole scan is allocation-free at any task count.
 pub fn has_certificate_lie(tasks: &[ControlTask]) -> bool {
     let mut checker = StabilityChecker::new(tasks);
     has_certificate_lie_on(&mut checker)
@@ -133,24 +138,42 @@ pub fn has_certificate_lie(tasks: &[ControlTask]) -> bool {
 /// streaming census. Scans the same `(task, removal)` pairs in the same
 /// order; verdicts are pure, so the answer is identical.
 pub fn has_certificate_lie_on(checker: &mut StabilityChecker<'_>) -> bool {
-    let n = checker.len();
+    find_certificate_lie_on(checker).is_some()
+}
+
+/// The first certificate lie of [`has_certificate_lie_on`]'s scan, as an
+/// interference-removal witness whose `before` is maximum interference.
+fn find_certificate_lie_on(checker: &mut StabilityChecker<'_>) -> Option<AnomalyWitness> {
+    let tasks = checker.tasks();
+    let n = tasks.len();
     // `check_mask` ignores the checked task's own bit: `hp` is "every
     // other task", minus the one removal being probed.
     let mut hp = checker.full_mask();
-    for i in 0..n {
-        if !checker.check_mask(i, &hp).stable {
+    for (i, task) in tasks.iter().enumerate() {
+        let before = checker.check_mask(i, &hp);
+        // Under the envelope bound no removal can destabilize `i`.
+        if !before.stable
+            || before
+                .bounds
+                .is_some_and(|rb| task.stable_under_any_removal(&rb))
+        {
             continue;
         }
         for j in (0..n).filter(|&j| j != i) {
             hp.remove(j);
-            let stable = checker.check_mask(i, &hp).stable;
+            let after = checker.check_mask(i, &hp);
             hp.insert(j);
-            if !stable {
-                return true;
+            if !after.stable {
+                return Some(AnomalyWitness {
+                    task: i,
+                    kind: AnomalyKind::InterferenceRemoval { removed: j },
+                    before,
+                    after,
+                });
             }
         }
     }
-    false
+    None
 }
 
 /// Counter columns of the census sweep, in journal/CSV order.
@@ -442,6 +465,202 @@ pub fn format_census(rows: &[CensusRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyadic::{dyadic_params, dyadic_set, dyadic_set_under, padded, DyadicParams};
+    use csa_core::PriorityAssignment;
+    use proptest::strategy::Strategy;
+    use rand::Rng;
+
+    /// Probes every single removal `hp \ {j}` of a stable `before`, in
+    /// `hp`'s order, without the envelope bound.
+    fn first_destabilizing_removal(
+        checker: &mut StabilityChecker<'_>,
+        i: usize,
+        hp: &[usize],
+    ) -> Option<AnomalyWitness> {
+        let before = checker.check(i, hp);
+        if !before.stable {
+            return None;
+        }
+        hp.iter().find_map(|&j| {
+            let rest: Vec<usize> = hp.iter().copied().filter(|&x| x != j).collect();
+            let after = checker.check(i, &rest);
+            (!after.stable).then_some(AnomalyWitness {
+                task: i,
+                kind: AnomalyKind::InterferenceRemoval { removed: j },
+                before,
+                after,
+            })
+        })
+    }
+
+    /// The certificate-lie scan without the envelope bound.
+    fn exhaustive_certificate_lie(checker: &mut StabilityChecker<'_>) -> Option<AnomalyWitness> {
+        let n = checker.len();
+        (0..n).find_map(|i| {
+            let others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
+            first_destabilizing_removal(checker, i, &others)
+        })
+    }
+
+    /// The interference-removal scan without the envelope bound.
+    fn exhaustive_interference_removal(
+        checker: &mut StabilityChecker<'_>,
+        pa: &PriorityAssignment,
+    ) -> Option<AnomalyWitness> {
+        (0..checker.len()).find_map(|i| {
+            let hp: Vec<usize> = pa.hp_iter(i).collect();
+            first_destabilizing_removal(checker, i, &hp)
+        })
+    }
+
+    /// The priority-raise walk without the envelope bound.
+    fn exhaustive_priority_raise(
+        checker: &mut StabilityChecker<'_>,
+        pa: &PriorityAssignment,
+    ) -> Option<AnomalyWitness> {
+        let order = pa.highest_first();
+        order.windows(2).enumerate().find_map(|(k, w)| {
+            let (above, below) = (w[0], w[1]);
+            let before = checker.check(below, &order[..=k]);
+            if !before.stable {
+                return None;
+            }
+            let after = checker.check(below, &order[..k]);
+            (!after.stable).then_some(AnomalyWitness {
+                task: below,
+                kind: AnomalyKind::PriorityRaise { displaced: above },
+                before,
+                after,
+            })
+        })
+    }
+
+    /// Task counts the detector comparison pads to: both sides of the
+    /// 64-task mask word boundary.
+    const PADDED_SIZES: [usize; 6] = [4, 12, 63, 64, 65, 70];
+
+    /// A dyadic set, the size it is padded to, and the seed of the
+    /// priority order of its drawn tasks.
+    fn detector_case() -> impl Strategy<Value = (DyadicParams, usize, u64)> {
+        (dyadic_params(), 0..PADDED_SIZES.len(), 0u64..1 << 32)
+            .prop_map(|(params, size, seed)| (params, PADDED_SIZES[size], seed))
+    }
+
+    /// What one detector saw over a comparison: stable `before`
+    /// configurations the bound covers (probes skipped), stable ones it
+    /// does not cover (probes run), and witnesses.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct DetectorTally {
+        skipped: usize,
+        scanned: usize,
+        witnesses: usize,
+    }
+
+    impl DetectorTally {
+        fn record(&mut self, checker: &mut StabilityChecker<'_>, i: usize, hp: &[usize]) {
+            let before = checker.check(i, hp);
+            if let Some(rb) = before.bounds.filter(|_| before.stable) {
+                if checker.tasks()[i].stable_under_any_removal(&rb) {
+                    self.skipped += 1;
+                } else {
+                    self.scanned += 1;
+                }
+            }
+        }
+    }
+
+    /// Asserts that the three pruned census detectors return exactly the
+    /// exhaustive scans' first witnesses on the padded set, with budgets
+    /// placed against full interference and against the assignment.
+    /// The drawn tasks take the top priorities in a seeded order and the
+    /// fillers sit below them. Returns per-detector tallies (certificate
+    /// lie, interference removal, priority raise).
+    fn assert_pruned_detectors_match(
+        params: &DyadicParams,
+        n: usize,
+        seed: u64,
+    ) -> [DetectorTally; 3] {
+        let fillers = n.saturating_sub(params.len());
+        let params = padded(params, n);
+        let mut order: Vec<usize> = (fillers..params.len()).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for k in (1..order.len()).rev() {
+            order.swap(k, rng.gen_range(0..=k));
+        }
+        order.extend(0..fillers);
+        let pa = PriorityAssignment::from_highest_first(&order);
+        let mut tally = [DetectorTally::default(); 3];
+        let sets = [
+            dyadic_set(&params),
+            dyadic_set_under(&params, |i| pa.hp_indices(i)),
+        ];
+        for set in sets.map(|set| set.expect("valid dyadic set")) {
+            let mut pruned = StabilityChecker::new(&set);
+            let mut oracle = StabilityChecker::uncached(&set);
+            let got = [
+                find_certificate_lie_on(&mut pruned),
+                find_interference_removal_anomaly_on(&mut pruned, &pa),
+                find_priority_raise_anomaly_on(&mut pruned, &pa),
+            ];
+            let want = [
+                exhaustive_certificate_lie(&mut oracle),
+                exhaustive_interference_removal(&mut oracle, &pa),
+                exhaustive_priority_raise(&mut oracle, &pa),
+            ];
+            assert_eq!(got, want, "n = {n}, order {order:?}, set {set:?}");
+            assert!(pruned.logical_checks() <= oracle.logical_checks());
+            for (t, w) in tally.iter_mut().zip(&got) {
+                t.witnesses += usize::from(w.is_some());
+            }
+            for i in 0..set.len() {
+                let others: Vec<usize> = (0..set.len()).filter(|&j| j != i).collect();
+                tally[0].record(&mut oracle, i, &others);
+                let hp = pa.hp_indices(i);
+                if !hp.is_empty() {
+                    tally[1].record(&mut oracle, i, &hp);
+                }
+            }
+            for k in 1..order.len() {
+                tally[2].record(&mut oracle, order[k], &order[..k]);
+            }
+        }
+        tally
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn pruned_detectors_match_exhaustive_scans(case in detector_case()) {
+            let (params, n, seed) = case;
+            assert_pruned_detectors_match(&params, n, seed);
+        }
+    }
+
+    #[test]
+    fn detector_comparison_is_not_vacuous() {
+        // Every detector must meet bound-skipped tasks, tasks whose
+        // probes still run, and real witnesses.
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut total = [DetectorTally::default(); 3];
+        for _ in 0..96 {
+            let (params, n, seed) = detector_case().generate(&mut rng).expect("tuple strategy");
+            let tally = assert_pruned_detectors_match(&params, n, seed);
+            for (t, c) in total.iter_mut().zip(tally) {
+                t.skipped += c.skipped;
+                t.scanned += c.scanned;
+                t.witnesses += c.witnesses;
+            }
+        }
+        for (name, t) in ["certificate lie", "interference removal", "priority raise"]
+            .iter()
+            .zip(total)
+        {
+            eprintln!("{name}: {t:?}");
+            assert!(t.skipped > 0, "{name}: the bound never skipped a task");
+            assert!(t.scanned > 0, "{name}: no task's probes ran");
+            assert!(t.witnesses > 0, "{name}: no witness found");
+        }
+    }
 
     #[test]
     fn census_counts_are_consistent() {

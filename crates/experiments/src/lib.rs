@@ -87,6 +87,8 @@ mod census;
 mod checkpoint;
 pub mod cli;
 mod crossval;
+#[cfg(test)]
+mod dyadic;
 mod fig2;
 mod fig4;
 mod fig5;

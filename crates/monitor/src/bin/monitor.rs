@@ -5,8 +5,9 @@
 //! and optionally persists a crash-safe `csamon1` snapshot after every
 //! batch. On a clean EOF it flushes the last partial batch, writes the
 //! accumulated event log to `results/monitor_events.jsonl`, and prints
-//! a summary to stderr. A malformed line exits 2, after answering the
-//! valid requests already buffered in the window. `monitor --help`
+//! a summary to stderr. A malformed line, or one that is not UTF-8,
+//! exits 2 after answering the valid requests already buffered in the
+//! window. `monitor --help`
 //! lists the flags without reading stdin.
 //!
 //! With `--resume`, requests the snapshot says were already processed
@@ -115,22 +116,36 @@ fn main() {
     let mut skip = engine.processed();
     let mut event_log: Vec<String> = Vec::new();
 
-    let stdin = std::io::stdin();
-    for (lineno, line) in stdin.lock().lines().enumerate() {
-        let line = match line {
-            Ok(line) => line,
+    // Lines are read as raw bytes: a line that is not UTF-8 is a
+    // malformed request like any other, not a failed read.
+    let mut stdin = std::io::stdin().lock();
+    let mut raw = Vec::new();
+    let mut lineno = 0usize;
+    loop {
+        raw.clear();
+        match stdin.read_until(b'\n', &mut raw) {
+            Ok(0) => break,
+            Ok(_) => lineno += 1,
             Err(e) => {
                 eprintln!("monitor: stdin read failed: {e}");
                 std::process::exit(2);
             }
-        };
-        if line.trim().is_empty() {
-            continue;
         }
-        let request = match parse_request(&line) {
+        if raw.last() == Some(&b'\n') {
+            raw.pop();
+            if raw.last() == Some(&b'\r') {
+                raw.pop();
+            }
+        }
+        let parsed = match std::str::from_utf8(&raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_request(line),
+            Err(e) => Err(format!("line is not valid UTF-8 ({e})")),
+        };
+        let request = match parsed {
             Ok(request) => request,
             Err(why) => {
-                eprintln!("monitor: malformed request on line {}: {why}", lineno + 1);
+                eprintln!("monitor: malformed request on line {lineno}: {why}");
                 // Answer the valid requests already buffered in the
                 // window before giving up on the stream.
                 flush_window(&mut engine, snapshot_dir.as_deref(), &mut event_log);

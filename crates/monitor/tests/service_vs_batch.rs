@@ -138,25 +138,33 @@ fn replaying_generated_coordinates_matches_inline_replay() {
     }
 }
 
-#[test]
-fn malformed_line_answers_the_buffered_window_before_exiting() {
+/// Pipes five valid corpus requests and then `bad` into `monitor
+/// --batch 8`, and returns the exit code, stderr, and the leading
+/// `{"id":N` of every response line.
+fn run_with_bad_sixth_line(bad: &[u8]) -> (Option<i32>, String, Vec<String>) {
     use std::io::Write;
     use std::process::{Command, Stdio};
 
-    // Five valid requests sit in an 8-request window when the garbage
-    // line arrives: all five are answered, then the stream is rejected.
-    let mut stdin = String::new();
+    let mut stdin = Vec::new();
     for (i, witness) in corpus().iter().take(5).enumerate() {
-        stdin.push_str(&csa_monitor::jsonl::request_line(&Request {
-            id: i as u64 + 1,
-            payload: Payload::Inline {
-                tasks: witness.tasks.clone(),
-            },
-        }));
-        stdin.push('\n');
+        stdin.extend_from_slice(
+            csa_monitor::jsonl::request_line(&Request {
+                id: i as u64 + 1,
+                payload: Payload::Inline {
+                    tasks: witness.tasks.clone(),
+                },
+            })
+            .as_bytes(),
+        );
+        stdin.push(b'\n');
     }
-    stdin.push_str("this is not a request\n");
-    let dir = std::env::temp_dir().join(format!("csa-monitor-malformed-{}", std::process::id()));
+    stdin.extend_from_slice(bad);
+    stdin.push(b'\n');
+    let dir = std::env::temp_dir().join(format!(
+        "csa-monitor-malformed-{}-{}",
+        std::process::id(),
+        bad.len()
+    ));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let mut child = Command::new(env!("CARGO_BIN_EXE_monitor"))
         .args(["--batch", "8"])
@@ -170,28 +178,47 @@ fn malformed_line_answers_the_buffered_window_before_exiting() {
         .stdin
         .take()
         .expect("stdin handle")
-        .write_all(stdin.as_bytes())
+        .write_all(&stdin)
         .expect("write stream");
     let out = child.wait_with_output().expect("monitor exit");
     let _ = std::fs::remove_dir_all(&dir);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
-    assert!(stderr.contains("malformed request on line 6"), "{stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let ids: Vec<&str> = stdout
+    let ids = String::from_utf8_lossy(&out.stdout)
         .lines()
         .filter(|l| l.contains("\"verdict\":"))
-        .map(|l| l.split(',').next().unwrap_or(""))
+        .map(|l| l.split(',').next().unwrap_or("").to_string())
         .collect();
-    assert_eq!(
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
         ids,
-        [
-            "{\"id\":1",
-            "{\"id\":2",
-            "{\"id\":3",
-            "{\"id\":4",
-            "{\"id\":5"
-        ],
-        "stdout:\n{stdout}"
-    );
+    )
+}
+
+/// The responses of the five valid requests ahead of the bad line.
+const FIRST_FIVE: [&str; 5] = [
+    "{\"id\":1",
+    "{\"id\":2",
+    "{\"id\":3",
+    "{\"id\":4",
+    "{\"id\":5",
+];
+
+#[test]
+fn malformed_line_answers_the_buffered_window_before_exiting() {
+    // Five valid requests sit in an 8-request window when the garbage
+    // line arrives: all five are answered, then the stream is rejected.
+    let (code, stderr, ids) = run_with_bad_sixth_line(b"this is not a request");
+    assert_eq!(code, Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("malformed request on line 6"), "{stderr}");
+    assert_eq!(ids, FIRST_FIVE, "stderr:\n{stderr}");
+}
+
+#[test]
+fn non_utf8_line_answers_the_buffered_window_before_exiting() {
+    // Bytes that are not UTF-8 are a malformed request, not a failed
+    // read: the buffered window is still answered before the exit.
+    let (code, stderr, ids) = run_with_bad_sixth_line(b"\xff\xfe");
+    assert_eq!(code, Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("malformed request on line 6"), "{stderr}");
+    assert_eq!(ids, FIRST_FIVE, "stderr:\n{stderr}");
 }
