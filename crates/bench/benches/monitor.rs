@@ -67,6 +67,10 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
 
 fn bench_batch_vs_singleton(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_window");
+    // One window takes ~0.15 ms and this host's speed drifts over tens
+    // of ms, so a median of the default 10 samples moved ±25% between
+    // runs; 5000 samples (~1 s per bench) span the drift.
+    group.sample_size(5000);
     let sets = fixed_benchmarks_with(6, 16, 0x40B2, PeriodModel::MarginTight);
 
     let drive = |batch_window: usize| -> Vec<Response> {

@@ -10,7 +10,13 @@ fn main() -> std::io::Result<()> {
     } else {
         Fig4Config::paper()
     };
-    let curves = run_fig4(&config);
+    let curves = match run_fig4(&config) {
+        Ok(curves) => curves,
+        Err(e) => {
+            eprintln!("fig4: {e}");
+            std::process::exit(1);
+        }
+    };
     for c in &curves {
         println!(
             "h = {:.0} ms: delay margin b = {:.3} ms, slope a = {:.3}",
@@ -21,14 +27,7 @@ fn main() -> std::io::Result<()> {
         let path = write_csv(
             &format!("fig4_h{:.0}ms.csv", c.period * 1e3),
             "latency_s,jitter_margin_s,linear_bound_s",
-            c.curve.points().iter().map(|p| {
-                format!(
-                    "{:.7},{:.7},{:.7}",
-                    p.latency,
-                    p.jitter_margin,
-                    c.fit.max_jitter(p.latency)
-                )
-            }),
+            c.csv_rows(),
         )?;
         eprintln!("wrote {}", path.display());
     }

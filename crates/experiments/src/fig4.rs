@@ -1,9 +1,7 @@
 //! Fig. 4: jitter-margin stability curves and linear lower bounds for the
 //! DC servo `1000/(s^2 + s)` under sampled LQG control.
 
-use csa_control::{
-    plants, KernelMode, LqgWeights, StabilityCurve, StabilityCurveBatch, StabilityFit,
-};
+use csa_control::{plants, LqgWeights, StabilityCurve, StabilityCurveBatch, StabilityFit};
 
 /// Configuration for the Fig. 4 experiment.
 #[derive(Debug, Clone)]
@@ -44,31 +42,41 @@ pub struct Fig4Curve {
     pub fit: StabilityFit,
 }
 
+impl Fig4Curve {
+    /// The curve's CSV rows (`latency_s,jitter_margin_s,linear_bound_s`,
+    /// seconds to 7 decimals), one per sampled latency.
+    pub fn csv_rows(&self) -> impl Iterator<Item = String> + '_ {
+        self.curve.points().iter().map(|p| {
+            format!(
+                "{:.7},{:.7},{:.7}",
+                p.latency,
+                p.jitter_margin,
+                self.fit.max_jitter(p.latency)
+            )
+        })
+    }
+}
+
 /// Runs the Fig. 4 experiment on the DC servo.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on structural failures only (the DC servo is stabilizable at
-/// all configured periods).
-pub fn run_fig4(config: &Fig4Config) -> Vec<Fig4Curve> {
-    let plant = plants::dc_servo().expect("valid plant");
+/// Propagates design and curve failures (none occur at the configured
+/// periods: the DC servo is stabilizable at all of them).
+pub fn run_fig4(config: &Fig4Config) -> Result<Vec<Fig4Curve>, csa_control::Error> {
+    let plant = plants::dc_servo()?;
     let weights = LqgWeights::output_regulation(&plant, 1e-1, 1e-6);
-    // The figure is illustrative, not part of the bit-frozen table
-    // surface, so it runs on the fast Hessenberg-sweep margin kernel
-    // (tolerance contract in DESIGN.md §10).
-    let mut batch = StabilityCurveBatch::new(KernelMode::Fast);
+    let mut batch = StabilityCurveBatch::new();
     config
         .periods
         .iter()
         .map(|&h| {
-            let (curve, fit) = batch
-                .curve_at(&plant, &weights, h, 0.0, config.points)
-                .expect("servo stability curve must compute");
-            Fig4Curve {
+            let (curve, fit) = batch.curve_at(&plant, &weights, h, 0.0, config.points)?;
+            Ok(Fig4Curve {
                 period: h,
                 curve,
                 fit,
-            }
+            })
         })
         .collect()
 }
@@ -77,9 +85,37 @@ pub fn run_fig4(config: &Fig4Config) -> Vec<Fig4Curve> {
 mod tests {
     use super::*;
 
+    /// FNV-1a digest of `config`'s CSV rows, each followed by `\n`, in
+    /// period order.
+    fn csv_digest(config: &Fig4Config) -> u64 {
+        let mut h = crate::artifact::Fnv64::default();
+        for c in run_fig4(config).unwrap() {
+            for row in c.csv_rows() {
+                h.write_bytes(row.as_bytes());
+                h.write_bytes(b"\n");
+            }
+        }
+        h.finish()
+    }
+
+    /// Digests of the `--quick` and paper-config CSV rows, captured from
+    /// the `fig4` binary's files while it still ran on the (since
+    /// deleted) partial-fraction margin kernel. A kernel change must not
+    /// move a printed digit.
+    #[test]
+    fn csv_rows_are_pinned() {
+        for (config, digest) in [
+            (Fig4Config::quick(), 0xb770_c288_cb68_9362u64),
+            (Fig4Config::paper(), 0xe8f2_56fe_c9a5_a641),
+        ] {
+            let got = csv_digest(&config);
+            assert_eq!(got, digest, "fig4 rows drifted: {got:#018x}");
+        }
+    }
+
     #[test]
     fn curves_have_paper_shape() {
-        let curves = run_fig4(&Fig4Config::quick());
+        let curves = run_fig4(&Fig4Config::quick()).unwrap();
         assert_eq!(curves.len(), 1);
         let c = &curves[0];
         let pts = c.curve.points();
@@ -101,7 +137,8 @@ mod tests {
         let curves = run_fig4(&Fig4Config {
             periods: vec![0.006, 0.012],
             points: 10,
-        });
+        })
+        .unwrap();
         assert_eq!(curves.len(), 2);
         for c in &curves {
             assert!(c.fit.b > 0.0);

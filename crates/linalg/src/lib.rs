@@ -22,8 +22,7 @@
 //!   Riccati equations with cross weights.
 //! * [`LuScratch`], [`EigScratch`], [`LyapScratch`], [`DareScratch`] —
 //!   re-entrant zero-allocation workspaces mirroring the corresponding
-//!   one-shot solvers bit-for-bit, plus [`hessenberg_with_q`] for
-//!   reduced-once frequency sweeps.
+//!   one-shot solvers bit-for-bit.
 //!
 //! # Example: discretize and stabilize a double integrator
 //!
@@ -54,7 +53,6 @@ mod gram;
 mod lu;
 mod lyap;
 mod mat;
-mod qr;
 
 pub use cmat::CMat;
 pub use cplx::Cplx;
@@ -62,8 +60,7 @@ pub use dare::{
     dare_residual, solve_dare, solve_dare_fixed_point, DareScratch, DareSolution, StageCost,
 };
 pub use eig::{
-    eigenvalues, hessenberg, hessenberg_with_q, is_hurwitz_stable, is_schur_stable,
-    spectral_radius, EigScratch,
+    eigenvalues, hessenberg, is_hurwitz_stable, is_schur_stable, spectral_radius, EigScratch,
 };
 pub use error::{Error, Result};
 pub use expm::{expm, nested_gramian, noise_covariance, van_loan_gramian, zoh, ZohPair};
@@ -74,4 +71,3 @@ pub use gram::{
 pub use lu::{Lu, LuScratch};
 pub use lyap::{dlyap, dlyap_kron, dlyap_residual, LyapScratch};
 pub use mat::Mat;
-pub use qr::{lstsq, qr};

@@ -7,8 +7,7 @@
 //! operation sequence and merely reuse buffers.
 
 use csa_linalg::{
-    dlyap, eigenvalues, hessenberg, hessenberg_with_q, solve_dare, DareScratch, EigScratch,
-    LuScratch, LyapScratch, Mat, StageCost,
+    dlyap, eigenvalues, solve_dare, DareScratch, EigScratch, LuScratch, LyapScratch, Mat, StageCost,
 };
 
 /// Deterministic pseudo-random matrix generator (splitmix-style LCG).
@@ -104,28 +103,6 @@ fn eig_scratch_bit_identical_across_sizes() {
         let rho_ref = csa_linalg::spectral_radius(&a).unwrap();
         let rho = scratch.spectral_radius_in(&a).unwrap();
         assert_eq!(rho.to_bits(), rho_ref.to_bits(), "spectral radius (n={n})");
-    }
-}
-
-#[test]
-fn hessenberg_with_q_matches_and_reconstructs() {
-    let mut rng = Rng(0xC0FFEE);
-    for n in [2usize, 3, 5, 7] {
-        let a = rng.mat(n, n);
-        let (h, q) = hessenberg_with_q(&a);
-        // H is bit-identical to the plain reduction.
-        assert_bits_eq(&h, &hessenberg(&a), "hessenberg_with_q H");
-        // Q is orthogonal and A = Q H Q^T.
-        let qtq = &q.transpose() * &q;
-        assert!(
-            qtq.max_abs_diff(&Mat::identity(n)) < 1e-13,
-            "Q not orthogonal (n={n})"
-        );
-        let back = &(&q * &h) * &q.transpose();
-        assert!(
-            back.max_abs_diff(&a) < 1e-12 * a.max_abs().max(1.0),
-            "A != Q H Q^T (n={n})"
-        );
     }
 }
 
